@@ -15,8 +15,8 @@ inputs.  Submodules:
     extended   extended-precision scoring where float64 roundoff swamps a score
     cli        command-line interface
 
-`ENGINE` names the active convolution backend: "compiled" when the
-C extension is importable, "numpy" otherwise (or when ARTIFACT_NO_EXT=1).
+`windowed_dot` is the one direct convolution every scoring sum goes
+through; `ENGINE` names it ("numpy") in the CLI's output headers.
 """
 
 from ._engine import ENGINE, windowed_dot

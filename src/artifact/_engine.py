@@ -1,24 +1,17 @@
-"""Convolution engine selection.
+"""The direct windowed convolution every scoring sum goes through.
 
-Prefers the compiled extension when the install built one and falls back to
-the NumPy implementation otherwise.  Setting ARTIFACT_NO_EXT=1 forces the
-fallback, which the benchmark uses to time both paths in one process tree.
-The wrapper owns all index validation so the compiled loop can run unchecked.
+`windowed_dot` slices exactly the input samples a window may read and
+evaluates each output as its own dot product with `np.convolve` on real
+float64 arrays, so no output can depend on a sample outside its own span.
+Complex operands are split into real and imaginary parts; a part that is
+identically zero is skipped, a tiny but nonzero one is kept.
 """
 
-import os
+import numpy as np
 
 from .errors import ParameterError
 
-if os.environ.get("ARTIFACT_NO_EXT") == "1":
-    from . import _slowconv as _impl
-else:
-    try:
-        from . import _fastconv as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _slowconv as _impl
-
-ENGINE = _impl.ENGINE
+ENGINE = "numpy"
 
 
 def check_window(m, size, start, count, stride):
@@ -40,11 +33,31 @@ def check_window(m, size, start, count, stride):
     return lo, hi
 
 
+def _real_parts(values):
+    """Real part and, when it has a nonzero entry, imaginary part as float64 arrays."""
+    values = np.asarray(values)
+    if not np.iscomplexobj(values):
+        return np.asarray(values, dtype=np.float64), None
+    imag = np.ascontiguousarray(values.imag, dtype=np.float64)
+    return np.ascontiguousarray(values.real, dtype=np.float64), imag if imag.any() else None
+
+
 def windowed_dot(taps, x, start, count, stride):
     """Direct evaluation of out[i] = sum_u taps[u] * x[start + i - stride*u].
 
     stride +1 consumes present-and-past samples (causal direction), stride -1
-    present-and-future samples (anticausal direction).
+    present-and-future samples (anticausal direction).  Returns complex128.
     """
-    check_window(len(taps), len(x), start, count, stride)
-    return _impl.windowed_dot(taps, x, start, count, stride)
+    lo, hi = check_window(len(taps), len(x), start, count, stride)
+    if stride == -1:
+        taps = taps[::-1]
+    t_re, t_im = _real_parts(taps)
+    x_re, x_im = _real_parts(x[lo : hi + 1])
+    out = np.convolve(x_re, t_re, "valid").astype(np.complex128)
+    if t_im is not None:
+        out.imag += np.convolve(x_re, t_im, "valid")
+    if x_im is not None:
+        out.imag += np.convolve(x_im, t_re, "valid")
+        if t_im is not None:
+            out.real -= np.convolve(x_im, t_im, "valid")
+    return out

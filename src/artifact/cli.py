@@ -239,7 +239,7 @@ def _read_time_series(path: str) -> Signal:
     im_vals = []
     with open(path, "r", encoding="utf-8") as handle:
         header_seen = False
-        for line in handle:
+        for row, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -250,10 +250,16 @@ def _read_time_series(path: str) -> Signal:
                 continue
             cells = line.split(",")
             if len(cells) != 3:
-                raise ParameterError(f"malformed time-series row {line!r}")
-            times.append(int(cells[0]))
-            re_vals.append(float(cells[1]))
-            im_vals.append(float(cells[2]))
+                raise ParameterError(f"{path} line {row}: malformed time-series row {line!r}")
+            try:
+                times.append(int(cells[0]))
+                re_vals.append(float(cells[1]))
+                im_vals.append(float(cells[2]))
+            except ValueError:
+                raise ParameterError(
+                    f"{path} line {row}: expected an integer t and numeric x_re, x_im, "
+                    f"got {line!r}"
+                ) from None
     if not times:
         raise ParameterError(f"{path} holds no samples")
     start = times[0]
@@ -266,6 +272,8 @@ def _cmd_predict(args) -> int:
     if args.input is not None:
         x = _read_time_series(args.input)
         sig_config: list[tuple[str, object]] = [("input", "file")]
+    elif args.length is None:
+        raise ParameterError("predict needs a signal: pass --input FILE or --length N")
     else:
         x, sig_config = _make_signal(args)
     kernel = FirstOrderKernel(args.a, args.b)

@@ -48,6 +48,8 @@ EXP_GUARD = 700.0
 
 def _check_pole(a: float) -> float:
     a = float(a)
+    if not math.isfinite(a):
+        raise ParameterError(f"pole parameter must be finite, got a={a}")
     if not abs(a) > 1.0:
         raise ParameterError(f"pole parameter must satisfy |a| > 1, got a={a}")
     return a
@@ -70,7 +72,10 @@ class FirstOrderKernel:
     def __post_init__(self):
         object.__setattr__(self, "a", _check_pole(self.a))
         if self.b is not None:
-            object.__setattr__(self, "b", float(self.b))
+            b = float(self.b)
+            if not math.isfinite(b):
+                raise ParameterError(f"zero parameter b must be finite, got b={b}")
+            object.__setattr__(self, "b", b)
 
     @property
     def c(self) -> float:
@@ -96,7 +101,10 @@ class PredictorParams:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_band_edge(self.omega))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        gamma = float(self.gamma)
+        if not math.isfinite(gamma):
+            raise ParameterError(f"damping gamma must be finite, got gamma={gamma}")
+        object.__setattr__(self, "gamma", gamma)
         if self.mode not in ("low", "high"):
             raise ParameterError(f"mode must be 'low' or 'high', got {self.mode!r}")
         if self.mode == "low" and self.gamma > 0:

@@ -3,8 +3,8 @@
 The target y(t) looks only forward (anticausal convolution, truncated at a
 documented geometric tail) and the forecast yhat(t) looks only backward
 (causal taps over the last M samples).  Every sum in this module is a direct
-sum through the engine wrapper; no transform shortcut touches the scoring
-path, so causality can be audited sample by sample.
+sum through `windowed_dot`; no transform shortcut touches the scoring path,
+so causality can be audited sample by sample.
 """
 
 from __future__ import annotations

@@ -201,6 +201,40 @@ def test_predict_rejects_malformed_input(tmp_path):
     assert code == EXIT_PARAMETER
 
 
+PREDICT_ARGS = ["predict", "--a", "2", "--omega", "pi/3", "--gamma", "-1",
+                "--mode", "low", "--n", "256", "--m", "16"]
+
+
+@pytest.mark.parametrize("bad_row", ["1.5,0.25,0", "1,abc,0", "1,0.25,"])
+def test_predict_input_parse_error_names_file_and_row(tmp_path, capsys, bad_row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# comment\nt,x_re,x_im\n0,0.5,0\n{bad_row}\n")
+    code = main([*PREDICT_ARGS, "--input", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 4" in err and "Traceback" not in err
+
+
+def test_predict_without_signal_names_both_flags(tmp_path, capsys):
+    code = main([*PREDICT_ARGS, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert "--input" in err and "--length" in err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--gamma", "nan", "damping gamma"),
+    ("--gamma", "-inf", "damping gamma"),
+    ("--b", "nan", "zero parameter b"),
+    ("--a", "inf", "pole parameter"),
+])
+def test_non_finite_parameters_are_named(tmp_path, capsys, flag, value, named):
+    code = main([*PREDICT_ARGS, "--length", "128", f"{flag}={value}",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    assert f"{named} must be finite" in capsys.readouterr().err
+
+
 def test_seventeen_digit_cells_roundtrip(tmp_path):
     out = tmp_path / "gen.csv"
     assert main(["gen", "--omega", "pi/3", "--mode", "low", "--length", "64",

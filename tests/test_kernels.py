@@ -147,6 +147,17 @@ def test_pole_validation():
         FirstOrderKernel(2.0).c
 
 
+def test_parameters_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="pole parameter must be finite"):
+            FirstOrderKernel(bad)
+        with pytest.raises(ParameterError, match="zero parameter b must be finite"):
+            FirstOrderKernel(2.0, bad)
+        for mode in ("low", "high"):
+            with pytest.raises(ParameterError, match="damping gamma must be finite"):
+                PredictorParams(omega=PI / 3, gamma=bad, n=64, m=8, mode=mode)
+
+
 # ---------------------------------------------------------- damping factor
 
 def test_v_hand_values():

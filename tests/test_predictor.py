@@ -1,4 +1,4 @@
-"""Prediction runs: window bookkeeping, oracles, causality, engines."""
+"""Prediction runs: window bookkeeping, oracles, causality, the convolution engine."""
 
 import math
 
@@ -25,7 +25,6 @@ from artifact import (
     lq_grid_norm,
     target,
 )
-from artifact import _slowconv
 from artifact._engine import windowed_dot
 
 PI = math.pi
@@ -198,27 +197,54 @@ def test_engine_wrapper_validates_bounds():
         windowed_dot(np.ones(0, dtype=complex), x, 3, 2, 1)
 
 
-def test_engines_agree():
-    try:
-        from artifact import _fastconv
-    except ImportError:
-        pytest.skip("compiled engine not built")
-    rng = np.random.default_rng(41)
-    taps = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-    x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    for start, count, stride in ((40, 100, 1), (10, 120, -1), (32, 1, 1)):
-        fast = _fastconv.windowed_dot(taps, x, start, count, stride)
-        slow = _slowconv.windowed_dot(taps, x, start, count, stride)
-        assert np.max(np.abs(fast - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
+def _definition(taps, x, start, count, stride):
+    out = []
+    for i in range(count):
+        acc = 0j
+        for u in range(len(taps)):
+            acc += complex(taps[u]) * complex(x[start + i - stride * u])
+        out.append(acc)
+    return np.array(out)
 
 
-def test_slow_engine_matches_definition():
+def test_windowed_dot_matches_definition():
     taps = np.array([2.0, 3.0], dtype=complex)
     x = np.arange(10, dtype=complex)
-    out = _slowconv.windowed_dot(taps, x, 4, 3, +1)
+    out = windowed_dot(taps, x, 4, 3, +1)
     # out[i] = 2*x[4+i] + 3*x[3+i]
     assert np.array_equal(out, np.array([2 * 4 + 3 * 3, 2 * 5 + 3 * 4, 2 * 6 + 3 * 5],
                                         dtype=complex))
-    out2 = _slowconv.windowed_dot(taps, x, 4, 2, -1)
+    out2 = windowed_dot(taps, x, 4, 2, -1)
     # out[i] = 2*x[4+i] + 3*x[5+i]
     assert np.array_equal(out2, np.array([2 * 4 + 3 * 5, 2 * 5 + 3 * 6], dtype=complex))
+
+    rng = np.random.default_rng(41)
+
+    def draw(size, complex_part):
+        v = rng.standard_normal(size)
+        return v + 1j * rng.standard_normal(size) if complex_part else v
+
+    size = 60
+    for taps_complex, x_complex in ((True, True), (False, False), (False, True)):
+        for m, start, count, stride in (
+            (7, 20, 25, 1), (7, 20, 25, -1),
+            (1, 0, size, 1), (1, 0, size, -1),   # one tap, whole signal
+            (9, 30, 1, 1), (9, 30, 1, -1),       # one output
+            (9, 8, size - 8, 1),                 # reads x[0] .. x[size-1]
+            (9, 0, size - 8, -1),                # reads x[0] .. x[size-1]
+        ):
+            taps = draw(m, taps_complex)
+            x = draw(size, x_complex)
+            got = windowed_dot(taps, x, start, count, stride)
+            want = _definition(taps, x, start, count, stride)
+            assert got.dtype == np.complex128 and got.shape == (count,)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (
+                taps_complex, x_complex, m, start, count, stride)
+    # an imaginary part far below the real part's rounding is carried, not dropped
+    taps = draw(5, False)
+    x = draw(size, False) + 1e-17j * draw(size, False)
+    for part in (np.real, np.imag):
+        got = part(windowed_dot(taps, x, 10, 20, 1))
+        want = part(_definition(taps, x, 10, 20, 1))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
