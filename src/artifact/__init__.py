@@ -39,12 +39,14 @@ from .spectral import (
     inverse_grid,
     lq_grid_norm,
     norm,
+    spectrum_l2,
 )
 from .kernels import (
     CAUSALITY_TOL,
     EXP_GUARD,
     FirstOrderKernel,
     PredictorParams,
+    TransferGrid,
     alpha,
     anticausal_kernel,
     causal_kernel,
@@ -108,10 +110,12 @@ __all__ = [
     "inverse_grid",
     "norm",
     "lq_grid_norm",
+    "spectrum_l2",
     "CAUSALITY_TOL",
     "EXP_GUARD",
     "FirstOrderKernel",
     "PredictorParams",
+    "TransferGrid",
     "alpha",
     "k_transfer",
     "anticausal_kernel",

@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ParameterError
 from .extended import forecast_from_spectrum, words_needed
-from .kernels import FirstOrderKernel, PredictorParams, alpha, k_transfer, causal_kernel, psi
+from .kernels import (FirstOrderKernel, PredictorParams, TransferGrid, alpha, causal_kernel,
+                      k_transfer, psi)
 from .predictor import PredictionRun, anticausal_tail_len, error_report, forecast, target
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
                       ideal_filter_split, noisy_spectrum)
-from .spectral import Signal, dtft_on_grid, grid_omegas, lq_grid_norm, norm
+from .spectral import Signal, grid_omegas, norm, spectrum_l2
 
 # noise_sweep scores a row in extended precision when the float64 roundoff
 # floor of its forecast would exceed this fraction of the row's budget
@@ -74,40 +75,6 @@ def nu_i3_closed_form(kappa: float, nu: float, omega: float, eps: float,
     return 2.0 * kappa * nu * (math.pi - omega) * (2.0 * kappa / eps) ** (mu / psi0)
 
 
-def _psi0_inner(a: float, al: float, omega: float, omega1: float,
-                om: np.ndarray, psi_grid: np.ndarray) -> float:
-    """Minimum of psi over the inner band.
-
-    psi is even, so the check runs on [0, omega]: when the grid values there
-    are monotone decreasing the minimum over the inner band sits at its edge
-    and psi(omega1) is exact.  Otherwise fall back to the grid argmin inside
-    the band refined by golden-section search.
-    """
-    sel = (om >= 0.0) & (om <= omega)
-    vals = psi_grid[sel]
-    if vals.size >= 2 and np.all(np.diff(vals) <= 1e-12):
-        return float(psi(a, al, omega1))
-    inner = np.where(np.abs(om) < omega1)[0]
-    if inner.size == 0:
-        return float(psi(a, al, omega1))
-    j = int(inner[np.argmin(psi_grid[inner])])
-    step = 2.0 * np.pi / om.size
-    lo = max(om[j] - step, -omega1)
-    hi = min(om[j] + step, omega1)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    for _ in range(200):
-        if psi(a, al, c) < psi(a, al, d):
-            hi = d
-        else:
-            lo = c
-        c = hi - inv_phi * (hi - lo)
-        d = lo + inv_phi * (hi - lo)
-    refined = float(psi(a, al, 0.5 * (lo + hi)))
-    return min(refined, float(psi(a, al, omega1)))
-
-
 def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget:
     """Compute the full error budget for the plain-pole kernel 1/(z+a)."""
     omega = float(omega)
@@ -125,7 +92,9 @@ def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget
     al = alpha(a, omega)
     omega1 = omega - eps / 4.0
     psi_grid = psi(a, al, om)
-    psi0 = _psi0_inner(a, al, omega, omega1, om, psi_grid)
+    # psi is a Moebius function of cos w, so it is monotone on [0, pi]; it is
+    # even and vanishes at omega, so its minimum over the inner band is at omega1
+    psi0 = psi(a, al, omega1)
     if psi0 <= 0.0:
         raise InternalConsistencyError(
             f"psi0 = {psi0} is not positive on the inner band (omega1={omega1})"
@@ -193,16 +162,17 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
                 sigspec: BandSignalSpec, gammas, n: int, m: int) -> list[GammaSweepRow]:
     """Score the same signal against predictors along a damping sweep.
 
-    Rows come back in input gamma order.  The target does not depend on
-    gamma, so it is computed once.
+    Rows come back in input gamma order.  The target and the transfer grid
+    do not depend on gamma, so each is computed once.
     """
     if sigspec.mode != mode:
         raise ParameterError(
             f"signal mode {sigspec.mode!r} does not match sweep mode {mode!r}"
         )
     x = gen_band_signal(sigspec, n)
-    l2x = lq_grid_norm(dtft_on_grid(x, n), 2.0)
+    l2x = spectrum_l2(x, n)
     t_a, t_b = _interior_window(x, m, kernel.a)
+    grid = TransferGrid(kernel, omega, n)
     rows = []
     y = None
     for gamma in gammas:
@@ -210,7 +180,7 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
         run = PredictionRun(x, kernel, params, t_a, t_b)
         if y is None:
             y = target(run)
-        rep = error_report(y, forecast(run), l2x)
+        rep = error_report(y, forecast(run, causal_kernel(kernel, params, grid)), l2x)
         rows.append(GammaSweepRow(float(gamma), rep.abs_l2, rep.abs_linf,
                                   rep.rel_l2_vs_l2x, rep.rel_linf_vs_l2x))
     return rows
@@ -250,7 +220,7 @@ def noise_sweep(a: float, omega: float, eps: float, nus, n: int, m: int,
         x = gen_noisy_spectrum(spec, n)
         t_a, t_b = _interior_window(x, m, a)
         run = PredictionRun(x, kernel, params, t_a, t_b)
-        l2x = lq_grid_norm(dtft_on_grid(x, n), 2.0)
+        l2x = spectrum_l2(x, n)
         nu_i3 = float(nu) * unit_nu_i3
         checked = (base.i1 + base.i2 + (nu_i3 if nu else 0.0)) / (2.0 * math.pi)
         words = words_needed(tap_l1 * norm(x, "linf"), FLOOR_FRACTION * checked)
@@ -277,15 +247,16 @@ def corollary_split_experiment(x: Signal, omega: float, kernel: FirstOrderKernel
     denominator, so the triangle inequality between them holds on the nose.
     """
     low, high = ideal_filter_split(x, omega, n)
-    denom = lq_grid_norm(dtft_on_grid(x, n), 2.0)
+    denom = spectrum_l2(x, n)
     t_a, t_b = _interior_window(x, m, kernel.a)
     p_low = PredictorParams(omega=omega, gamma=gamma_low, n=n, m=m, mode="low")
     p_high = PredictorParams(omega=omega, gamma=gamma_high, n=n, m=m, mode="high")
     y_full = target(PredictionRun(x, kernel, p_low, t_a, t_b))
     run_low = PredictionRun(low, kernel, p_low, t_a, t_b)
     run_high = PredictionRun(high, kernel, p_high, t_a, t_b)
-    yhat_low = forecast(run_low)
-    yhat_high = forecast(run_high)
+    grid = TransferGrid(kernel, omega, n)
+    yhat_low = forecast(run_low, causal_kernel(kernel, p_low, grid))
+    yhat_high = forecast(run_high, causal_kernel(kernel, p_high, grid))
     combined = Signal(t_a, yhat_low.values + yhat_high.values)
     return SplitReport(
         combined_rel_l2=error_report(y_full, combined, denom).rel_l2_vs_l2x,

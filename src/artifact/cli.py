@@ -47,7 +47,7 @@ from .kernels import (
 )
 from .predictor import PredictionRun, anticausal_tail_len, error_report, forecast, target
 from .signals import BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum
-from .spectral import Signal, dtft_on_grid, grid_omegas, lq_grid_norm, norm
+from .spectral import Signal, grid_omegas, norm, spectrum_l2
 
 FORMAT_VERSION = "1"
 
@@ -91,9 +91,12 @@ def _omega_argument(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part.strip() != ""]
+        values = [float(part) for part in str(text).split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"list {text!r} holds no values")
+    return values
 
 
 def _fmt(value) -> str:
@@ -283,7 +286,7 @@ def _cmd_predict(args) -> int:
     run = PredictionRun(x, kernel, params, t_a, t_b)
     y = target(run)
     yhat = forecast(run)
-    l2x = lq_grid_norm(dtft_on_grid(x, args.n), 2.0)
+    l2x = spectrum_l2(x, args.n)
     rep = error_report(y, yhat, l2x)
     config = [
         ("a", _fmt(kernel.a)),

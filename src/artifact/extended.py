@@ -26,7 +26,7 @@ Numer. Algorithms 59, 2012); the limb products are summed exactly in Python
 integers and the sum is rounded once.  Each output therefore depends only on
 the samples it reads, bit for bit.
 
-mpmath supplies pi and log 2 and is imported only when this path runs.
+pi and log 2 are summed from arctangent series on Python integers.
 """
 
 from __future__ import annotations
@@ -79,13 +79,28 @@ def _cmul(ar, ai, br, bi, frac: int):
     return (_round_shift(ar * br - ai * bi, frac), _round_shift(ar * bi + ai * br, frac))
 
 
-def _constants(frac: int):
-    """pi and log 2 as integers times 2**frac."""
-    import mpmath
+def _arctan_series(x: int, bits: int, alternate: bool) -> int:
+    """atan(1/x) (alternate) or atanh(1/x) times 2**bits, each term truncated."""
+    power = (1 << bits) // x
+    total, k = power, 1
+    while power:
+        power //= x * x
+        term = power // (2 * k + 1)
+        total += -term if alternate and k % 2 else term
+        k += 1
+    return total
 
-    with mpmath.workprec(frac + 32):
-        return (int(mpmath.nint(mpmath.ldexp(mpmath.pi, frac))),
-                int(mpmath.nint(mpmath.ldexp(mpmath.ln2, frac))))
+
+def _constants(frac: int):
+    """pi and log 2 as integers times 2**frac, rounded to nearest.
+
+    pi = 16 atan(1/5) - 4 atan(1/239) (Machin) and log 2 = 2 atanh(1/3),
+    summed with 32 guard bits that absorb the truncation of every term.
+    """
+    bits = frac + 32
+    pi = 16 * _arctan_series(5, bits, True) - 4 * _arctan_series(239, bits, True)
+    ln2 = 2 * _arctan_series(3, bits, False)
+    return _round_shift(pi, 32), _round_shift(ln2, 32)
 
 
 def _cexp(re, im, frac: int, consts):

@@ -26,6 +26,15 @@ float64 score is roundoff: its floor is about 2**-53 * ||khat||_1 * ||x||_inf.
 analysis.noise_sweep detects that floor and scores such rows in extended
 precision (see the extended module); analysis.gamma_sweep still scores in
 float64, so its rows in that regime measure roundoff, not prediction.
+
+Taps come from the real half-spectrum.  For real a, b and alpha, Khat is
+Hermitian, Khat(-w) = conj(Khat(w)), so its n/2+1 values on
+omega_k = 2*pi*k/n, k = 0 .. n/2, define it and np.fft.irfft gives its real
+period.  Only the exponent's scale gamma changes along a sweep: a
+TransferGrid holds K and the exponent direction s*(z+a)/(z+alpha) for one
+(kernel, omega, n), a sweep builds it once, and each gamma then costs one
+complex exp on those bins and one irfft.  predictor_transfer and v_transfer
+evaluate the full ascending grid for the kernel command's transfer dump.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalityLeakError, GridSizeError, ParameterError, SaturationError
-from .spectral import Signal, SpectrumGrid, grid_omegas, inverse_grid
+from .spectral import Signal, SpectrumGrid, grid_omegas
 
 # Relative l2 mass tolerated at negative time indices when inverting Khat on
 # a finite grid; above this the grid is considered too small for the gamma.
@@ -220,16 +229,68 @@ def predictor_transfer(kernel: FirstOrderKernel, params: PredictorParams) -> Spe
     return SpectrumGrid(params.n, v.values * k.values)
 
 
-def _invert_predictor(kernel: FirstOrderKernel, params: PredictorParams):
-    """Grid inversion of Khat over t in [-n/2, n/2) plus the causality leak ratio."""
-    khat = predictor_transfer(kernel, params)
-    n = params.n
-    full = inverse_grid(khat, -(n // 2), n)
-    total = float(np.linalg.norm(full.values))
-    if total == 0.0:  # gamma = 0 gives the zero kernel
-        return full, 0.0
-    leak = float(np.linalg.norm(full.values[: n // 2])) / total
-    return full, leak
+class TransferGrid:
+    """The gamma-independent arrays of Khat on the real half-spectrum.
+
+    For one (kernel, omega, n): K and the exponent direction
+    s*(z+a)/(z+alpha) on the bins omega_k = 2*pi*k/n, k = 0 .. n/2.  These
+    are the ascending grid's bins n/2 .. n-1 followed by its bin at -pi,
+    which stands in for +pi.  K comes from one k_transfer call.
+    """
+
+    def __init__(self, kernel: FirstOrderKernel, omega: float, n: int):
+        self.kernel = kernel
+        self.omega = _check_band_edge(omega)
+        self.n = int(n)
+        half = self.n // 2
+        k = k_transfer(kernel, self.n).values
+        self.k = np.concatenate([k[half:], k[:1]])
+        om = grid_omegas(self.n)
+        z = np.exp(1j * np.concatenate([om[half:], om[:1]]))
+        al = alpha(kernel.a, self.omega)
+        s = 1.0 if kernel.a + al > 0 else -1.0
+        self.direction = s * (z + kernel.a) / (z + al)
+
+    def invert(self, gamma: float):
+        """Real period khat(0) .. khat(n-1) of Khat at gamma, and its leak ratio.
+
+        Entries n/2 .. n-1 of the period stand for t - n < 0; the leak ratio
+        is their l2 mass relative to the whole period.
+        """
+        expo = gamma * self.direction
+        worst = int(np.argmax(expo.real))
+        if expo.real[worst] > EXP_GUARD:
+            # Re(expo) is even in omega: name the mirrored bin at -omega_k,
+            # which comes first on the ascending grid
+            j = self.n // 2 - worst
+            raise SaturationError(
+                f"damping exponent real part {expo.real[worst]:.1f} exceeds {EXP_GUARD:.0f} "
+                f"at omega={-np.pi + 2.0 * np.pi * j / self.n:.6f} (bin {j}); "
+                f"kernel magnitudes would overflow double precision"
+            )
+        period = np.fft.irfft((1.0 - np.exp(expo)) * self.k, self.n)
+        peak = float(np.max(np.abs(period)))
+        if peak == 0.0:  # gamma = 0 gives the zero kernel
+            return period, 0.0
+        # an exact power-of-two scale keeps the squares below overflow
+        scaled = np.ldexp(period, -math.frexp(peak)[1])
+        sq = scaled * scaled
+        neg = float(np.sum(sq[self.n // 2 :]))
+        return period, math.sqrt(neg / (float(np.sum(sq[: self.n // 2])) + neg))
+
+
+def _invert_predictor(kernel: FirstOrderKernel, params: PredictorParams,
+                      grid: TransferGrid | None = None):
+    """Period of Khat at params.gamma plus the causality leak ratio."""
+    if grid is None:
+        grid = TransferGrid(kernel, params.omega, params.n)
+    elif (grid.kernel, grid.omega, grid.n) != (kernel, params.omega, params.n):
+        raise ParameterError(
+            f"transfer grid was built for a={grid.kernel.a}, b={grid.kernel.b}, "
+            f"omega={grid.omega}, n={grid.n}, not a={kernel.a}, b={kernel.b}, "
+            f"omega={params.omega}, n={params.n}"
+        )
+    return grid.invert(params.gamma)
 
 
 def causality_leak_ratio(kernel: FirstOrderKernel, params: PredictorParams) -> float:
@@ -237,33 +298,31 @@ def causality_leak_ratio(kernel: FirstOrderKernel, params: PredictorParams) -> f
     return _invert_predictor(kernel, params)[1]
 
 
-def causal_kernel(kernel: FirstOrderKernel, params: PredictorParams) -> Signal:
+def causal_kernel(kernel: FirstOrderKernel, params: PredictorParams,
+                  grid: TransferGrid | None = None) -> Signal:
     """Time-domain predictor taps khat(0) .. khat(M-1).
 
     The exact transfer is causal; a finite grid aliases a small amount of
     mass onto negative indices.  That mass is measured relative to the whole
     kernel and must stay below CAUSALITY_TOL, otherwise the grid is too small
-    for the requested gamma and the construction is refused.  For real pole
-    parameters the inverse transform is real up to roundoff; the imaginary
-    parts are dropped on output.
+    for the requested gamma and the construction is refused.  grid, when
+    given, must be TransferGrid(kernel, params.omega, params.n), built once
+    for several gammas.
     """
     if params.m > params.n // 2:
         raise GridSizeError(
             f"truncation length {params.m} exceeds the causal half of the grid ({params.n // 2})"
         )
-    full, leak = _invert_predictor(kernel, params)
-    if leak > CAUSALITY_TOL:
+    period, leak = _invert_predictor(kernel, params, grid)
+    if not leak <= CAUSALITY_TOL:  # a period that overflowed gives nan
         raise CausalityLeakError(
             f"negative-index leak ratio {leak:.3e} exceeds {CAUSALITY_TOL:.0e}; "
             f"grid n={params.n} is too small for gamma={params.gamma}"
         )
-    half = params.n // 2
-    taps = full.values[half : half + params.m]
-    return Signal(0, taps.real.astype(np.complex128))
+    return Signal(0, period[: params.m])
 
 
 def tap_l1_tail(kernel: FirstOrderKernel, params: PredictorParams) -> float:
     """l1 mass of the causal taps discarded beyond M, for truncation reporting."""
-    full, _ = _invert_predictor(kernel, params)
-    half = params.n // 2
-    return float(np.sum(np.abs(full.values[half + params.m :])))
+    period, _ = _invert_predictor(kernel, params)
+    return float(np.sum(np.abs(period[params.m : params.n // 2])))

@@ -24,6 +24,13 @@ from .spectral import Signal, SpectrumGrid, dtft_on_grid, grid_omegas, inverse_g
 NORMALIZATIONS = ("unit_l2", "unit_spectrum_linf")
 
 
+def _checked_seed(seed) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class BandSignalSpec:
     """Recipe for one in-class test signal."""
@@ -44,7 +51,7 @@ class BandSignalSpec:
         if int(self.length) < 1:
             raise ParameterError(f"length must be >= 1, got {self.length}")
         object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if self.normalization not in NORMALIZATIONS:
             raise ParameterError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -70,7 +77,7 @@ class NoisySpectrumSpec:
         if int(self.length) < 1:
             raise ParameterError(f"length must be >= 1, got {self.length}")
         object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
 
 def _hermitize(vals: np.ndarray) -> np.ndarray:

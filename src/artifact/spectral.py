@@ -132,6 +132,19 @@ def norm(x: Signal, kind: str) -> float:
     raise ParameterError(f"unknown norm kind {kind!r}")
 
 
+def spectrum_l2(x: Signal, n: int) -> float:
+    """lq_grid_norm(dtft_on_grid(x, n), 2) without the transform.
+
+    By Parseval, sum_j |X_j|^2 = n * sum_t |x(t)|^2 for a window that fits
+    the grid, so the rectangle-rule L2 norm is sqrt(2*pi * sum_t |x(t)|^2).
+    """
+    n = _checked_grid_size(n)
+    if len(x) > n:
+        raise GridSizeError(f"grid size {n} is smaller than the {len(x)}-sample window")
+    v = x.values
+    return math.sqrt(2.0 * math.pi * float(np.sum(v.real * v.real + v.imag * v.imag)))
+
+
 def lq_grid_norm(X: SpectrumGrid, q) -> float:
     """Rectangle-rule L_q norm of X over [-pi, pi); q = math.inf gives the grid max.
 

@@ -245,3 +245,35 @@ def test_seventeen_digit_cells_roundtrip(tmp_path):
     rows = _data_lines(out)[1:]
     parsed = np.array([float(r.split(",")[1]) for r in rows])
     assert np.array_equal(parsed, x.values.real)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--gamma=",
+      "--n", "1024", "--m", "128", "--length", "512"], "--gamma"),
+    (["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2", "--nu", ",",
+      "--n", "1024", "--m", "256"], "--nu"),
+])
+def test_empty_lists_are_refused(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_PARAMETER
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--omega", "pi/3", "--length", "64", "--n", "128"],
+    ["gen", "--omega", "pi/3", "--nu", "0.1", "--length", "64", "--n", "128"],
+    [*PREDICT_ARGS, "--length", "128"],
+    ["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--gamma=-1",
+     "--n", "1024", "--m", "128", "--length", "512"],
+    ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2", "--nu", "0",
+     "--n", "1024", "--m", "256"],
+    ["split", "--a", "2", "--omega", "pi/3", "--gamma-low", "-8", "--gamma-high", "0.5",
+     "--n", "2048", "--m", "256", "--length", "2048"],
+])
+def test_negative_seed_is_named(tmp_path, capsys, argv):
+    code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 """Extended-precision direct sum: exactness, causality, precision choice."""
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifact import ParameterError
-from artifact.extended import exact_causal_sum, words_needed
+from artifact.cli import main
+from artifact.extended import WORD_BITS, GUARD_BITS, _constants, exact_causal_sum, words_needed
 
 FRAC = 180
 
@@ -80,3 +83,36 @@ def test_words_needed():
     assert words_needed(math.inf, math.inf) == 1
     with pytest.raises(ParameterError):
         words_needed(1.0, 0.0)
+
+
+PI_DIGITS = ("314159265358979323846264338327950288419716939937510582097494459230781640628"
+             "620899862803482534211706798214808651328230664709384460955058223172535940812")
+LN2_DIGITS = ("693147180559945309417232121458176568075500134360255254120680009493393621969"
+              "694715605863326996418687542001481020570685733685520235758130557032670751635")
+
+
+def _nearest(digits: str, point: int, frac: int) -> int:
+    """Nearest integer to d * 2**frac, d the decimal with `point` digits before its point."""
+    q, r = divmod(int(digits) << frac, 10 ** (len(digits) - point))
+    return q + (2 * r >= 10 ** (len(digits) - point))
+
+
+def test_constants_match_published_digits():
+    # 150 digits pin the constants to about 2**-498, so up to frac = 480
+    for frac in [1, 2, 53, 64] + [WORD_BITS * w + GUARD_BITS for w in range(1, 8)] + [480]:
+        pi, ln2 = _constants(frac)
+        assert pi == _nearest(PI_DIGITS, 1, frac), frac
+        assert ln2 == _nearest(LN2_DIGITS, 0, frac), frac
+
+
+def test_noise_golden_row_scores_without_mpmath(tmp_path, monkeypatch):
+    # the golden's nu = 0 row takes the extended path; the package must not
+    # need mpmath there, and the cell must not move
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    out = tmp_path / "noise.csv"
+    assert main(["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.1", "--nu", "0",
+                 "--n", "4096", "--m", "1024", "--seed", "20260819", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "goldens" / "sweep_noise.csv"
+    want = next(ln for ln in golden.read_text().splitlines() if ln.startswith("0,"))
+    got = out.read_text().splitlines()[-1]
+    assert got == want

@@ -12,6 +12,7 @@ from artifact import (
     ParameterError,
     PredictorParams,
     SaturationError,
+    TransferGrid,
     alpha,
     anticausal_kernel,
     causal_kernel,
@@ -285,3 +286,96 @@ def test_mode_gamma_sign_contract():
         PredictorParams(omega=PI / 3, gamma=-1.0, n=60, m=8, mode="low")
     with pytest.raises(ParameterError):
         PredictorParams(omega=PI / 3, gamma=-1.0, n=64, m=8, mode="mid")
+
+
+# ------------------------------------------- half-spectrum inversion
+
+def _full_grid_reference(kern, params):
+    """Period and leak ratio by the full complex grid, plus max Re(exponent).
+
+    Khat = V*K on all n ascending bins, a complex ifft, and the l2 mass of
+    the period at t < 0 (entries n/2 .. n-1) relative to all of it.
+    """
+    n = params.n
+    z = np.exp(1j * (-PI + 2.0 * PI * np.arange(n) / n))
+    al = alpha(kern.a, params.omega)
+    s = 1.0 if kern.a + al > 0 else -1.0
+    expo = params.gamma * s * (z + kern.a) / (z + al)
+    k = 1.0 / (z + kern.a) if kern.b is None else (z + kern.b) / (z + kern.a)
+    period = np.fft.ifft(np.fft.ifftshift((1.0 - np.exp(expo)) * k))
+    sq = np.abs(period) ** 2
+    return period, math.sqrt(np.sum(sq[n // 2:]) / np.sum(sq)), float(np.max(expo.real))
+
+
+@pytest.mark.parametrize("a, b, omega, gamma, mode, n, m", [
+    (2.0, None, PI / 3, -6.0, "low", 4096, 256),
+    (2.0, None, PI / 3, -32.0, "low", 8192, 512),
+    (-2.0, None, PI / 3, 8.0, "high", 4096, 256),
+    (-2.0, None, PI / 3, 16.0, "high", 8192, 512),
+    (2.0, -0.7, PI / 3, -10.0, "low", 4096, 256),
+    (-3.0, 0.5, PI / 2, 12.0, "high", 4096, 256),
+])
+def test_half_spectrum_taps_match_full_grid(a, b, omega, gamma, mode, n, m):
+    kern = FirstOrderKernel(a, b)
+    params = PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode)
+    period, leak, worst = _full_grid_reference(kern, params)
+    assert worst <= 20.0
+    taps = causal_kernel(kern, params).values
+    ref = period[:m].real
+    assert np.max(np.abs(taps - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(causality_leak_ratio(kern, params) - leak) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_half_spectrum_leak_and_tail_match_full_grid(n):
+    # small grids, where the leak and the discarded tail are real mass
+    kern = FirstOrderKernel(2.0)
+    params = PredictorParams(omega=PI / 3, gamma=-8.0, n=n, m=16, mode="low")
+    period, leak, _ = _full_grid_reference(kern, params)
+    assert leak > 1e-14
+    assert abs(causality_leak_ratio(kern, params) - leak) <= 1e-9 * leak
+    tail = float(np.sum(np.abs(period[16 : n // 2])))
+    assert abs(tap_l1_tail(kern, params) - tail) <= 1e-12 * tail
+
+
+def test_shared_grid_is_bit_identical():
+    for kern, omega, gammas, mode in (
+        (FirstOrderKernel(2.0), PI / 3, (-1.0, -6.0, -32.0), "low"),
+        (FirstOrderKernel(-2.0, 0.4), PI / 4, (0.0, 3.0, 16.0), "high"),
+    ):
+        grid = TransferGrid(kern, omega, 4096)
+        for gamma in gammas:
+            params = PredictorParams(omega=omega, gamma=gamma, n=4096, m=300, mode=mode)
+            shared = causal_kernel(kern, params, grid)
+            assert np.array_equal(shared.values, causal_kernel(kern, params).values)
+
+
+def test_grid_for_other_configuration_is_refused():
+    kern = FirstOrderKernel(2.0, -0.7)
+    params = PredictorParams(omega=PI / 3, gamma=-4.0, n=1024, m=64, mode="low")
+    for other in (TransferGrid(kern, PI / 4, 1024), TransferGrid(kern, PI / 3, 2048),
+                  TransferGrid(FirstOrderKernel(2.0), PI / 3, 1024),
+                  TransferGrid(FirstOrderKernel(3.0, -0.7), PI / 3, 1024)):
+        with pytest.raises(ParameterError, match="transfer grid was built for"):
+            causal_kernel(kern, params, other)
+
+
+def test_saturation_names_the_bin():
+    # low band: the largest exponent sits at omega = -pi (bin 0), 2000 * 5/9
+    low = PredictorParams(omega=PI / 3, gamma=-2000.0, n=256, m=16, mode="low")
+    with pytest.raises(SaturationError, match=r"omega=-3\.141593 \(bin 0\)"):
+        causal_kernel(FirstOrderKernel(2.0), low)
+    # high band, a = -2: at omega = 0 (bin n/2), 2000 * psi(0) = 2000
+    high = PredictorParams(omega=PI / 3, gamma=2000.0, n=256, m=16, mode="high")
+    with pytest.raises(SaturationError, match=r"omega=0\.000000 \(bin 128\)"):
+        tap_l1_tail(FirstOrderKernel(-2.0), high)
+
+
+def test_leak_guard_survives_huge_taps():
+    # taps near 1e226 on a grid far too small: the squares of the period
+    # overflow, which must not turn the leak ratio into a silent nan
+    kern = FirstOrderKernel(2.0)
+    params = PredictorParams(omega=PI / 3, gamma=-1000.0, n=1024, m=64, mode="low")
+    assert causality_leak_ratio(kern, params) > 0.5
+    with pytest.raises(CausalityLeakError):
+        causal_kernel(kern, params)

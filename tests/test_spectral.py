@@ -15,6 +15,7 @@ from artifact import (
     inverse_grid,
     lq_grid_norm,
     norm,
+    spectrum_l2,
 )
 
 
@@ -186,3 +187,15 @@ def test_window_larger_than_grid_rejected():
         inverse_grid(X, 0, 33)
     with pytest.raises(ParameterError):
         inverse_grid(X, 0, 0)
+
+
+def test_spectrum_l2_matches_grid_norm():
+    rng = np.random.default_rng(8)
+    for start, size, n in ((0, 1024, 1024), (-7, 300, 512), (13, 1, 8)):
+        x = Signal(start, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        grid = lq_grid_norm(dtft_on_grid(x, n), 2.0)
+        assert abs(spectrum_l2(x, n) - grid) <= 1e-14 * grid
+    with pytest.raises(GridSizeError):
+        spectrum_l2(Signal(0, np.ones(33)), 32)
+    with pytest.raises(GridSizeError):
+        spectrum_l2(Signal(0, np.ones(8)), 12)
