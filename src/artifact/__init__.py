@@ -74,6 +74,7 @@ from .predictor import (
     anticausal_tail_len,
     error_report,
     forecast,
+    interior_window,
     target,
 )
 from .analysis import (
@@ -90,65 +91,3 @@ from .analysis import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ENGINE",
-    "windowed_dot",
-    "PredictionError",
-    "ParameterError",
-    "GridSizeError",
-    "DegenerateBandError",
-    "WindowMismatchError",
-    "InsufficientDataError",
-    "CausalityLeakError",
-    "SaturationError",
-    "InternalConsistencyError",
-    "Signal",
-    "SpectrumGrid",
-    "grid_omegas",
-    "dtft_on_grid",
-    "inverse_grid",
-    "norm",
-    "lq_grid_norm",
-    "spectrum_l2",
-    "CAUSALITY_TOL",
-    "EXP_GUARD",
-    "FirstOrderKernel",
-    "PredictorParams",
-    "TransferGrid",
-    "alpha",
-    "k_transfer",
-    "anticausal_kernel",
-    "v_transfer",
-    "psi",
-    "predictor_transfer",
-    "causal_kernel",
-    "causality_leak_ratio",
-    "tap_l1_tail",
-    "BandSignalSpec",
-    "NoisySpectrumSpec",
-    "band_spectrum",
-    "gen_band_signal",
-    "noisy_spectrum",
-    "gen_noisy_spectrum",
-    "ideal_filter_split",
-    "low_band_mask",
-    "DEFAULT_TAIL_TOL",
-    "PredictionRun",
-    "ErrorReport",
-    "anticausal_tail_len",
-    "target",
-    "forecast",
-    "error_report",
-    "ErrorBudget",
-    "GammaSweepRow",
-    "NoiseSweepRow",
-    "SplitReport",
-    "budget",
-    "gamma_sweep",
-    "noise_sweep",
-    "corollary_split_experiment",
-    "khat_sup_norm",
-    "nu_i3_closed_form",
-    "__version__",
-]

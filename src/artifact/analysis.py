@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ParameterError
+from .errors import ParameterError
 from .extended import forecast_from_spectrum, words_needed
 from .kernels import (FirstOrderKernel, PredictorParams, TransferGrid, alpha, causal_kernel,
                       k_transfer, psi)
-from .predictor import PredictionRun, anticausal_tail_len, error_report, forecast, target
+from .predictor import PredictionRun, error_report, forecast, interior_window, target
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
                       ideal_filter_split, noisy_spectrum)
 from .spectral import Signal, grid_omegas, norm, spectrum_l2
@@ -93,11 +93,14 @@ def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget
     omega1 = omega - eps / 4.0
     psi_grid = psi(a, al, om)
     # psi is a Moebius function of cos w, so it is monotone on [0, pi]; it is
-    # even and vanishes at omega, so its minimum over the inner band is at omega1
+    # even and vanishes at omega, so its minimum over the inner band is at
+    # omega1.  That minimum is positive in exact arithmetic, but an eps near
+    # the rounding of omega leaves it at zero or below in float64
     psi0 = psi(a, al, omega1)
-    if psi0 <= 0.0:
-        raise InternalConsistencyError(
-            f"psi0 = {psi0} is not positive on the inner band (omega1={omega1})"
+    if not psi0 > 0.0:
+        raise ParameterError(
+            f"eps={eps} is too small for double precision: at the inner band edge "
+            f"omega1={omega1!r} (omega={omega!r}) psi0 rounds to {psi0:.3g}, not above 0"
         )
     gamma_eps = -math.log(2.0 * kappa / eps) / psi0
     step = 2.0 * np.pi / n
@@ -148,16 +151,6 @@ class SplitReport:
     high_energy: float
 
 
-def _interior_window(x: Signal, m: int, a: float):
-    t_a = x.start_index + m
-    t_b = x.end_index - anticausal_tail_len(a)
-    if t_a > t_b:
-        raise ParameterError(
-            f"signal of length {len(x)} leaves no interior window for m={m}"
-        )
-    return t_a, t_b
-
-
 def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
                 sigspec: BandSignalSpec, gammas, n: int, m: int) -> list[GammaSweepRow]:
     """Score the same signal against predictors along a damping sweep.
@@ -171,7 +164,7 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
         )
     x = gen_band_signal(sigspec, n)
     l2x = spectrum_l2(x, n)
-    t_a, t_b = _interior_window(x, m, kernel.a)
+    t_a, t_b = interior_window(x, m, kernel.a)
     grid = TransferGrid(kernel, omega, n)
     rows = []
     y = None
@@ -218,7 +211,7 @@ def noise_sweep(a: float, omega: float, eps: float, nus, n: int, m: int,
     for nu in nus:
         spec = NoisySpectrumSpec(omega=omega, nu=nu, seed=seed, length=length)
         x = gen_noisy_spectrum(spec, n)
-        t_a, t_b = _interior_window(x, m, a)
+        t_a, t_b = interior_window(x, m, a)
         run = PredictionRun(x, kernel, params, t_a, t_b)
         l2x = spectrum_l2(x, n)
         nu_i3 = float(nu) * unit_nu_i3
@@ -248,7 +241,7 @@ def corollary_split_experiment(x: Signal, omega: float, kernel: FirstOrderKernel
     """
     low, high = ideal_filter_split(x, omega, n)
     denom = spectrum_l2(x, n)
-    t_a, t_b = _interior_window(x, m, kernel.a)
+    t_a, t_b = interior_window(x, m, kernel.a)
     p_low = PredictorParams(omega=omega, gamma=gamma_low, n=n, m=m, mode="low")
     p_high = PredictorParams(omega=omega, gamma=gamma_high, n=n, m=m, mode="high")
     y_full = target(PredictionRun(x, kernel, p_low, t_a, t_b))

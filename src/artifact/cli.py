@@ -8,11 +8,14 @@ Subcommands:
     sweep-noise  measured error vs budget along an out-of-band noise sweep
     split        two-band split prediction experiment
 
-Output is CSV (default) or JSON.  CSV numbers carry 17 significant digits so
-parsing them recovers the exact doubles; '#' header lines echo the full
-scientific configuration, and identical flags always reproduce identical
-bytes.  Exit codes: 0 ok, 2 parameter, 3 insufficient data, 4 causality
-leak, 5 I/O, 6 saturation, 1 anything else.
+Every flag is declared once, in FLAGS; each subcommand in COMMANDS lists the
+flags it takes.  Output is CSV (default) or JSON.  CSV numbers carry 17
+significant digits so parsing them recovers the exact doubles; '#' header
+lines echo the parsed flags in their declaration order, then what the
+command computed, and identical flags always reproduce identical bytes.
+Exit codes come from the error classes (see `errors`): 0 ok, 2 parameter,
+3 signal too short for the history and anticausal tail a window needs,
+4 causality leak, 5 I/O, 6 saturation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,30 +38,21 @@ from .errors import (
     PredictionError,
     SaturationError,
 )
-from .kernels import (
-    FirstOrderKernel,
-    PredictorParams,
-    alpha,
-    causal_kernel,
-    k_transfer,
-    predictor_transfer,
-    psi,
-    tap_l1_tail,
-    v_transfer,
-)
-from .predictor import PredictionRun, anticausal_tail_len, error_report, forecast, target
+from .kernels import (FirstOrderKernel, PredictorParams, alpha, causal_kernel, k_transfer, psi,
+                      v_transfer)
+from .predictor import PredictionRun, error_report, forecast, interior_window, target
 from .signals import BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum
 from .spectral import Signal, grid_omegas, norm, spectrum_l2
 
 FORMAT_VERSION = "1"
 
 EXIT_OK = 0
-EXIT_OTHER = 1
-EXIT_PARAMETER = 2
-EXIT_INSUFFICIENT_DATA = 3
-EXIT_CAUSALITY_LEAK = 4
+EXIT_OTHER = PredictionError.exit_code
+EXIT_PARAMETER = ParameterError.exit_code
+EXIT_INSUFFICIENT_DATA = InsufficientDataError.exit_code
+EXIT_CAUSALITY_LEAK = CausalityLeakError.exit_code
 EXIT_IO = 5
-EXIT_SATURATION = 6
+EXIT_SATURATION = SaturationError.exit_code
 
 _PI_FORM = re.compile(r"^\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$")
 
@@ -99,10 +94,59 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+# Every flag, by its destination name.  The option is "--" + name with "_"
+# as "-" unless "flag" gives it.  A command takes a flag as optional, with
+# the default here, unless it lists the name with a trailing "!".
+FLAGS = {
+    "a": dict(type=float, help="pole of the kernel 1/(z+a), |a| > 1"),
+    "b": dict(type=float, default=None, help="zero of the kernel (z+b)/(z+a)"),
+    "omega": dict(type=_omega_argument,
+                  help="band edge in (0, pi): radians or forms like pi/3, 0.9pi, 2pi/5"),
+    "gamma": dict(type=float, help="damping: <= 0 in low mode, >= 0 in high mode"),
+    "gammas": dict(flag="--gamma", type=_float_list, default=None, metavar="GAMMA",
+                   help="comma-separated list; default -1,-2,...,-256 (low) "
+                        "or 1,2,...,256 (high)"),
+    "gamma_low": dict(type=float, help="damping of the low-band part, <= 0"),
+    "gamma_high": dict(type=float, help="damping of the high-band part, >= 0"),
+    "mode": dict(choices=("low", "high"), default="low", help="occupied band"),
+    "eps": dict(type=float, help="band fringe of the budget, in (0, 4*omega)"),
+    "nu": dict(type=float, default=None,
+               help="generate the bounded noisy spectrum instead of a band draw"),
+    "nus": dict(flag="--nu", type=_float_list, default=[0.0, 0.001, 0.01, 0.1], metavar="NU",
+                help="comma-separated list; default 0,0.001,0.01,0.1"),
+    "n": dict(type=int, help="frequency grid size, a power of two >= 8"),
+    "m": dict(type=int, help="number of causal taps, at most n/2"),
+    "length": dict(type=int, default=None, help="signal length in samples"),
+    "seed": dict(type=int, default=0, help="random seed, >= 0"),
+    "normalization": dict(choices=("unit_l2", "unit_spectrum_linf"), default="unit_l2",
+                          help="scale of a generated band signal"),
+    "input": dict(default=None, help="time-series CSV from the gen command"),
+    "out": dict(help="output file path"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format"),
+}
+
+_KERNEL_FLAGS = ("a!", "b", "omega!", "gamma!", "mode!", "n!", "m!")
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _header_value(value):
+    """None as "", lists and floats through _fmt, ints and strings as is (JSON keeps ints)."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else value
+
+
+def _config(args, names, **computed) -> list[tuple[str, object]]:
+    """Header pairs: the parsed flags `names` in order, then the computed values."""
+    pairs = [(name, getattr(args, name)) for name in names] + list(computed.items())
+    return [(key, _header_value(value)) for key, value in pairs]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -131,14 +175,17 @@ def _json_document(command: str, config: list[tuple[str, object]], body: dict) -
     return [json.dumps(doc, sort_keys=True, indent=2)]
 
 
+def _json_table(columns: list[str], rows: list[list]) -> dict:
+    return {"columns": columns, "rows": [[_cell_json(c) for c in row] for row in rows]}
+
+
 def _emit(args, command: str, config: list[tuple[str, object]],
           columns: list[str], rows: list[list], path: str | None = None) -> None:
     out = path if path is not None else args.out
     if args.format == "csv":
         _write_lines(out, _csv_document(command, config, columns, rows))
     else:
-        body = {"columns": columns, "rows": [[_cell_json(c) for c in row] for row in rows]}
-        _write_lines(out, _json_document(command, config, body))
+        _write_lines(out, _json_document(command, config, _json_table(columns, rows)))
 
 
 def _cell_json(cell):
@@ -163,106 +210,83 @@ def _cmd_kernel(args) -> int:
     om = grid_omegas(params.n)
     k = k_transfer(kernel, params.n).values
     v = v_transfer(kernel.a, al, params.gamma, params.n).values
-    khat = predictor_transfer(kernel, params).values
+    khat = v * k
     psis = psi(kernel.a, al, om)
-    taps = causal_kernel(kernel, params)
+    # one inversion of the whole causal half gives the taps and the l1 mass
+    # discarded beyond m; an m past the half is refused with its own value
+    half = causal_kernel(kernel, replace(params, m=max(params.m, params.n // 2))).values.real
     residual = abs(1.0 + al * kernel.a + (kernel.a + al) * math.cos(params.omega))
-    config = [
-        ("a", _fmt(kernel.a)),
-        ("b", "" if kernel.b is None else _fmt(kernel.b)),
-        ("omega", _fmt(params.omega)),
-        ("gamma", _fmt(params.gamma)),
-        ("mode", params.mode),
-        ("n", params.n),
-        ("m", params.m),
-        ("alpha", _fmt(al)),
-        ("root_identity_residual", _fmt(residual)),
-        ("tap_l1_tail", _fmt(tap_l1_tail(kernel, params))),
-        ("engine", ENGINE),
-    ]
+    config = _config(args, args.flags, alpha=al, root_identity_residual=residual,
+                     tap_l1_tail=float(np.sum(np.abs(half[params.m:]))), engine=ENGINE)
     grid_cols = ["omega", "k_re", "k_im", "v_re", "v_im", "khat_re", "khat_im", "psi"]
     grid_rows = [
         [om[j], k[j].real, k[j].imag, v[j].real, v[j].imag, khat[j].real, khat[j].imag, psis[j]]
         for j in range(params.n)
     ]
     tap_cols = ["t", "khat"]
-    tap_rows = [[t, taps.values[t].real] for t in range(params.m)]
+    tap_rows = [[t, half[t]] for t in range(params.m)]
     if args.format == "csv":
         _emit(args, "kernel", config, grid_cols, grid_rows)
         _emit(args, "kernel-taps", config, tap_cols, tap_rows, path=_taps_path(args.out))
     else:
-        body = {
-            "grid": {"columns": grid_cols, "rows": [[_cell_json(c) for c in r] for r in grid_rows]},
-            "taps": {"columns": tap_cols, "rows": [[_cell_json(c) for c in r] for r in tap_rows]},
-        }
+        body = {"grid": _json_table(grid_cols, grid_rows), "taps": _json_table(tap_cols, tap_rows)}
         _write_lines(args.out, _json_document("kernel", config, body))
     return EXIT_OK
 
 
-def _signal_config(spec) -> list[tuple[str, object]]:
-    if isinstance(spec, BandSignalSpec):
-        return [
-            ("signal", "band"),
-            ("omega", _fmt(spec.omega)),
-            ("mode", spec.mode),
-            ("length", spec.length),
-            ("seed", spec.seed),
-            ("normalization", spec.normalization),
-        ]
-    return [
-        ("signal", "noisy"),
-        ("omega", _fmt(spec.omega)),
-        ("nu", _fmt(spec.nu)),
-        ("length", spec.length),
-        ("seed", spec.seed),
-    ]
-
-
 def _make_signal(args) -> tuple[Signal, list[tuple[str, object]]]:
+    """The generated signal and its header pairs, which echo the flags it used."""
     if args.nu is not None:
         spec = NoisySpectrumSpec(omega=args.omega, nu=args.nu, seed=args.seed, length=args.length)
-        return gen_noisy_spectrum(spec, args.n), _signal_config(spec)
-    spec = BandSignalSpec(omega=args.omega, mode=args.mode, length=args.length,
-                          seed=args.seed, normalization=args.normalization)
-    return gen_band_signal(spec, args.n), _signal_config(spec)
+        x, kind = gen_noisy_spectrum(spec, args.n), "noisy"
+        names = ("omega", "nu", "length", "seed")
+    else:
+        spec = BandSignalSpec(omega=args.omega, mode=args.mode, length=args.length,
+                              seed=args.seed, normalization=args.normalization)
+        x, kind = gen_band_signal(spec, args.n), "band"
+        names = ("omega", "mode", "length", "seed", "normalization")
+    return x, [("signal", kind), *_config(args, names)]
 
 
 def _cmd_gen(args) -> int:
     x, config = _make_signal(args)
-    config.append(("n", args.n))
     columns = ["t", "x_re", "x_im"]
     rows = [[int(t), x.values[i].real, x.values[i].imag] for i, t in enumerate(x.times())]
-    _emit(args, "gen", config, columns, rows)
+    _emit(args, "gen", config + _config(args, ("n",)), columns, rows)
     return EXIT_OK
 
 
 def _read_time_series(path: str) -> Signal:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not UTF-8 text ({exc.reason})") from None
     times = []
     re_vals = []
     im_vals = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header_seen = False
-        for row, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line.split(",") != ["t", "x_re", "x_im"]:
-                    raise ParameterError(f"{path} is not a time-series file (header {line!r})")
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != 3:
-                raise ParameterError(f"{path} line {row}: malformed time-series row {line!r}")
-            try:
-                times.append(int(cells[0]))
-                re_vals.append(float(cells[1]))
-                im_vals.append(float(cells[2]))
-            except ValueError:
-                raise ParameterError(
-                    f"{path} line {row}: expected an integer t and numeric x_re, x_im, "
-                    f"got {line!r}"
-                ) from None
+    header_seen = False
+    for row, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line.split(",") != ["t", "x_re", "x_im"]:
+                raise ParameterError(f"{path} is not a time-series file (header {line!r})")
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise ParameterError(f"{path} line {row}: malformed time-series row {line!r}")
+        try:
+            times.append(int(cells[0]))
+            re_vals.append(float(cells[1]))
+            im_vals.append(float(cells[2]))
+        except ValueError:
+            raise ParameterError(
+                f"{path} line {row}: expected an integer t and numeric x_re, x_im, "
+                f"got {line!r}"
+            ) from None
     if not times:
         raise ParameterError(f"{path} holds no samples")
     start = times[0]
@@ -273,37 +297,21 @@ def _read_time_series(path: str) -> Signal:
 
 def _cmd_predict(args) -> int:
     if args.input is not None:
-        x = _read_time_series(args.input)
-        sig_config: list[tuple[str, object]] = [("input", "file")]
+        x, sig_config = _read_time_series(args.input), [("input", "file")]
     elif args.length is None:
         raise ParameterError("predict needs a signal: pass --input FILE or --length N")
     else:
         x, sig_config = _make_signal(args)
     kernel = FirstOrderKernel(args.a, args.b)
     params = PredictorParams(omega=args.omega, gamma=args.gamma, n=args.n, m=args.m, mode=args.mode)
-    t_a = x.start_index + params.m
-    t_b = x.end_index - anticausal_tail_len(kernel.a)
-    run = PredictionRun(x, kernel, params, t_a, t_b)
+    run = PredictionRun(x, kernel, params, *interior_window(x, params.m, kernel.a))
     y = target(run)
     yhat = forecast(run)
     l2x = spectrum_l2(x, args.n)
     rep = error_report(y, yhat, l2x)
-    config = [
-        ("a", _fmt(kernel.a)),
-        ("b", "" if kernel.b is None else _fmt(kernel.b)),
-        ("omega", _fmt(params.omega)),
-        ("gamma", _fmt(params.gamma)),
-        ("mode", params.mode),
-        ("n", params.n),
-        ("m", params.m),
-        *sig_config,
-        ("eval_start", t_a),
-        ("eval_stop", t_b),
-        ("tail_len", run.tail_len),
-        ("x_spectrum_l2", _fmt(l2x)),
-        ("target_l2", _fmt(norm(y, "l2"))),
-        ("engine", ENGINE),
-    ]
+    config = _config(args, args.flags[:len(_KERNEL_FLAGS)]) + sig_config + _config(
+        args, (), eval_start=run.eval_start, eval_stop=run.eval_stop, tail_len=run.tail_len,
+        x_spectrum_l2=l2x, target_l2=norm(y, "l2"), engine=ENGINE)
     columns = ["abs_l2", "abs_linf", "rel_l2", "rel_linf"]
     rows = [[rep.abs_l2, rep.abs_linf, rep.rel_l2_vs_l2x, rep.rel_linf_vs_l2x]]
     _emit(args, "predict", config, columns, rows)
@@ -316,56 +324,27 @@ def _default_gammas(mode: str) -> list[float]:
 
 
 def _cmd_sweep_gamma(args) -> int:
-    gammas = args.gamma if args.gamma is not None else _default_gammas(args.mode)
+    if args.gammas is None:
+        args.gammas = _default_gammas(args.mode)
     kernel = FirstOrderKernel(args.a, args.b)
     spec = BandSignalSpec(omega=args.omega, mode=args.mode, length=args.length,
                           seed=args.seed, normalization=args.normalization)
-    rows = gamma_sweep(kernel, args.omega, args.mode, spec, gammas, args.n, args.m)
-    config = [
-        ("a", _fmt(kernel.a)),
-        ("b", "" if kernel.b is None else _fmt(kernel.b)),
-        ("omega", _fmt(args.omega)),
-        ("mode", args.mode),
-        ("gammas", ",".join(_fmt(g) for g in gammas)),
-        ("n", args.n),
-        ("m", args.m),
-        ("length", args.length),
-        ("seed", args.seed),
-        ("normalization", args.normalization),
-        ("engine", ENGINE),
-    ]
+    rows = gamma_sweep(kernel, args.omega, args.mode, spec, args.gammas, args.n, args.m)
     columns = ["gamma", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
     body = [[r.gamma, r.abs_l2, r.abs_linf, r.rel_l2, r.rel_linf] for r in rows]
-    _emit(args, "sweep-gamma", config, columns, body)
+    _emit(args, "sweep-gamma", _config(args, args.flags, engine=ENGINE), columns, body)
     return EXIT_OK
 
 
 def _cmd_sweep_noise(args) -> int:
-    nus = args.nu if args.nu is not None else [0.0, 0.001, 0.01, 0.1]
-    rows = noise_sweep(args.a, args.omega, args.eps, nus, args.n, args.m,
+    if args.length is None:
+        args.length = args.n
+    rows = noise_sweep(args.a, args.omega, args.eps, args.nus, args.n, args.m,
                        seed=args.seed, length=args.length)
     b = budget(args.a, args.omega, args.eps, 0.0, args.n)
-    config = [
-        ("a", _fmt(args.a)),
-        ("omega", _fmt(args.omega)),
-        ("eps", _fmt(args.eps)),
-        ("nus", ",".join(_fmt(v) for v in nus)),
-        ("n", args.n),
-        ("m", args.m),
-        ("length", args.length if args.length is not None else args.n),
-        ("seed", args.seed),
-        ("kappa", _fmt(b.kappa)),
-        ("alpha", _fmt(b.alpha)),
-        ("omega1", _fmt(b.omega1)),
-        ("psi0", _fmt(b.psi0)),
-        ("mu", _fmt(b.mu)),
-        ("gamma_eps", _fmt(b.gamma_eps)),
-        ("i1", _fmt(b.i1)),
-        ("i2", _fmt(b.i2)),
-        ("i3", _fmt(b.i3)),
-        ("i2_cap", _fmt(b.i2_cap)),
-        ("engine", ENGINE),
-    ]
+    computed = ("kappa", "alpha", "omega1", "psi0", "mu", "gamma_eps", "i1", "i2", "i3", "i2_cap")
+    config = _config(args, args.flags, **{key: getattr(b, key) for key in computed},
+                     engine=ENGINE)
     columns = ["nu", "measured_linf", "budget_i12", "budget_nu_i3"]
     body = [[r.nu, r.measured_linf, r.budget_i12, r.budget_nu_i3] for r in rows]
     _emit(args, "sweep-noise", config, columns, body)
@@ -381,30 +360,31 @@ def _cmd_split(args) -> int:
     kernel = FirstOrderKernel(args.a, args.b)
     report = corollary_split_experiment(x, args.omega, kernel,
                                         args.gamma_low, args.gamma_high, args.n, args.m)
-    config = [
-        ("a", _fmt(kernel.a)),
-        ("b", "" if kernel.b is None else _fmt(kernel.b)),
-        ("omega", _fmt(args.omega)),
-        ("gamma_low", _fmt(args.gamma_low)),
-        ("gamma_high", _fmt(args.gamma_high)),
-        ("n", args.n),
-        ("m", args.m),
-        ("length", args.length),
-        ("seed", args.seed),
-        ("engine", ENGINE),
-    ]
     columns = ["combined_rel_l2", "low_rel_l2", "high_rel_l2", "low_energy", "high_energy"]
     rows = [[report.combined_rel_l2, report.low_rel_l2, report.high_rel_l2,
              report.low_energy, report.high_energy]]
-    _emit(args, "split", config, columns, rows)
+    _emit(args, "split", _config(args, args.flags, engine=ENGINE), columns, rows)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_common_output(sub) -> None:
-    sub.add_argument("--out", required=True, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+# command -> (handler, help, the flags it takes in order; --out and --format
+# are added to every command and not echoed)
+COMMANDS = {
+    "kernel": (_cmd_kernel, "dump transfer curves and causal taps", _KERNEL_FLAGS),
+    "gen": (_cmd_gen, "generate a test signal",
+            ("omega!", "mode", "nu", "length!", "seed", "n!", "normalization")),
+    "predict": (_cmd_predict, "run one prediction",
+                _KERNEL_FLAGS + ("input", "nu", "length", "seed", "normalization")),
+    "sweep-gamma": (_cmd_sweep_gamma, "error norms along a damping sweep",
+                    ("a!", "b", "omega!", "mode!", "gammas", "n!", "m!", "length!", "seed",
+                     "normalization")),
+    "sweep-noise": (_cmd_sweep_noise, "measured error vs budget along a noise sweep",
+                    ("a!", "omega!", "eps!", "nus", "n!", "m!", "length", "seed")),
+    "split": (_cmd_split, "two-band split prediction experiment",
+              ("a!", "b", "omega!", "gamma_low!", "gamma_high!", "n!", "m!", "length!", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,117 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "design dumps, test signals, predictions, and experiment sweeps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    kernel = subs.add_parser("kernel", help="dump transfer curves and causal taps")
-    kernel.add_argument("--a", type=float, required=True)
-    kernel.add_argument("--b", type=float, default=None)
-    kernel.add_argument("--omega", type=_omega_argument, required=True)
-    kernel.add_argument("--gamma", type=float, required=True)
-    kernel.add_argument("--mode", choices=("low", "high"), required=True)
-    kernel.add_argument("--n", type=int, required=True)
-    kernel.add_argument("--m", type=int, required=True)
-    _add_common_output(kernel)
-    kernel.set_defaults(handler=_cmd_kernel)
-
-    gen = subs.add_parser("gen", help="generate a test signal")
-    gen.add_argument("--omega", type=_omega_argument, required=True)
-    gen.add_argument("--mode", choices=("low", "high"), default="low")
-    gen.add_argument("--nu", type=float, default=None,
-                     help="generate the bounded noisy spectrum instead of a band draw")
-    gen.add_argument("--length", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--normalization", choices=("unit_l2", "unit_spectrum_linf"),
-                     default="unit_l2")
-    _add_common_output(gen)
-    gen.set_defaults(handler=_cmd_gen)
-
-    predict = subs.add_parser("predict", help="run one prediction")
-    predict.add_argument("--a", type=float, required=True)
-    predict.add_argument("--b", type=float, default=None)
-    predict.add_argument("--omega", type=_omega_argument, required=True)
-    predict.add_argument("--gamma", type=float, required=True)
-    predict.add_argument("--mode", choices=("low", "high"), required=True)
-    predict.add_argument("--n", type=int, required=True)
-    predict.add_argument("--m", type=int, required=True)
-    predict.add_argument("--input", default=None, help="time-series CSV from the gen command")
-    predict.add_argument("--nu", type=float, default=None)
-    predict.add_argument("--length", type=int, default=None)
-    predict.add_argument("--seed", type=int, default=0)
-    predict.add_argument("--normalization", choices=("unit_l2", "unit_spectrum_linf"),
-                         default="unit_l2")
-    _add_common_output(predict)
-    predict.set_defaults(handler=_cmd_predict)
-
-    sweep_gamma = subs.add_parser("sweep-gamma", help="error norms along a damping sweep")
-    sweep_gamma.add_argument("--a", type=float, required=True)
-    sweep_gamma.add_argument("--b", type=float, default=None)
-    sweep_gamma.add_argument("--omega", type=_omega_argument, required=True)
-    sweep_gamma.add_argument("--mode", choices=("low", "high"), required=True)
-    sweep_gamma.add_argument("--gamma", type=_float_list, default=None,
-                             help="comma-separated list; default -1,-2,...,-256 (low) "
-                                  "or 1,2,...,256 (high)")
-    sweep_gamma.add_argument("--n", type=int, required=True)
-    sweep_gamma.add_argument("--m", type=int, required=True)
-    sweep_gamma.add_argument("--length", type=int, required=True)
-    sweep_gamma.add_argument("--seed", type=int, default=0)
-    sweep_gamma.add_argument("--normalization", choices=("unit_l2", "unit_spectrum_linf"),
-                             default="unit_l2")
-    _add_common_output(sweep_gamma)
-    sweep_gamma.set_defaults(handler=_cmd_sweep_gamma)
-
-    sweep_noise = subs.add_parser("sweep-noise", help="measured error vs budget along a noise sweep")
-    sweep_noise.add_argument("--a", type=float, required=True)
-    sweep_noise.add_argument("--omega", type=_omega_argument, required=True)
-    sweep_noise.add_argument("--eps", type=float, required=True)
-    sweep_noise.add_argument("--nu", type=_float_list, default=None,
-                             help="comma-separated list; default 0,0.001,0.01,0.1")
-    sweep_noise.add_argument("--n", type=int, required=True)
-    sweep_noise.add_argument("--m", type=int, required=True)
-    sweep_noise.add_argument("--length", type=int, default=None)
-    sweep_noise.add_argument("--seed", type=int, default=0)
-    _add_common_output(sweep_noise)
-    sweep_noise.set_defaults(handler=_cmd_sweep_noise)
-
-    split = subs.add_parser("split", help="two-band split prediction experiment")
-    split.add_argument("--a", type=float, required=True)
-    split.add_argument("--b", type=float, default=None)
-    split.add_argument("--omega", type=_omega_argument, required=True)
-    split.add_argument("--gamma-low", type=float, required=True)
-    split.add_argument("--gamma-high", type=float, required=True)
-    split.add_argument("--n", type=int, required=True)
-    split.add_argument("--m", type=int, required=True)
-    split.add_argument("--length", type=int, required=True)
-    split.add_argument("--seed", type=int, default=0)
-    _add_common_output(split)
-    split.set_defaults(handler=_cmd_split)
-
+    for command, (handler, help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flag in (*flags, "out!", "format"):
+            name = flag.rstrip("!")
+            kwargs = dict(FLAGS[name])
+            option = kwargs.pop("flag", "--" + name.replace("_", "-"))
+            sub.add_argument(option, dest=name, required=flag.endswith("!"), **kwargs)
+        sub.set_defaults(handler=handler, flags=tuple(flag.rstrip("!") for flag in flags))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SaturationError as exc:
+    except (PredictionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SATURATION
-    except CausalityLeakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAUSALITY_LEAK
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_DATA
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PredictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        return getattr(exc, "exit_code", EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -33,8 +33,9 @@ omega_k = 2*pi*k/n, k = 0 .. n/2, define it and np.fft.irfft gives its real
 period.  Only the exponent's scale gamma changes along a sweep: a
 TransferGrid holds K and the exponent direction s*(z+a)/(z+alpha) for one
 (kernel, omega, n), a sweep builds it once, and each gamma then costs one
-complex exp on those bins and one irfft.  predictor_transfer and v_transfer
-evaluate the full ascending grid for the kernel command's transfer dump.
+complex exp on those bins and one irfft.  k_transfer and v_transfer evaluate
+the full ascending grid for the kernel command's transfer dump, and
+predictor_transfer is their product.
 """
 
 from __future__ import annotations

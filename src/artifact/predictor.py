@@ -37,6 +37,18 @@ def anticausal_tail_len(a: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return max(val, 0)
 
 
+def interior_window(x: Signal, m: int, a: float) -> tuple[int, int]:
+    """The widest window [t_a, t_b] with m samples of history and the anticausal tail after it."""
+    tail = anticausal_tail_len(a)
+    t_a, t_b = x.start_index + m, x.end_index - tail
+    if t_a > t_b:
+        raise InsufficientDataError(
+            f"signal of length {len(x)} is too short: m={m} samples of history and "
+            f"tail_len={tail} samples of future need at least {m + tail + 1}"
+        )
+    return t_a, t_b
+
+
 @dataclass(frozen=True)
 class PredictionRun:
     """One scoring configuration: a signal, a kernel, and an interior window.

@@ -78,10 +78,6 @@ class SpectrumGrid:
             raise ParameterError(f"expected {self.n} grid values, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def omegas(self) -> np.ndarray:
-        return grid_omegas(self.n)
-
 
 def grid_omegas(n: int) -> np.ndarray:
     """Ascending grid angles -pi + 2*pi*j/n for j = 0 .. n-1."""

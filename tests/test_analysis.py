@@ -8,6 +8,7 @@ import pytest
 from artifact import (
     BandSignalSpec,
     FirstOrderKernel,
+    InsufficientDataError,
     InternalConsistencyError,
     NoisySpectrumSpec,
     ParameterError,
@@ -202,3 +203,31 @@ def test_internal_consistency_guard_unreachable_in_valid_domain():
             b = budget(a, om, 0.1, 0.0, 4096)
             assert b.psi0 > 0.0
     assert InternalConsistencyError is not None
+
+
+def test_short_signal_is_insufficient_data_in_every_driver():
+    # a=2 needs tail_len=40 samples of future, so m=128 needs 169 samples
+    kern = FirstOrderKernel(2.0)
+    named = r"length 140 is too short: m=128 .* tail_len=40 .* at least 169"
+    with pytest.raises(InsufficientDataError, match=named):
+        gamma_sweep(kern, PI / 3, "low",
+                    BandSignalSpec(omega=PI / 3, mode="low", length=140, seed=3),
+                    [-1.0], 1024, 128)
+    with pytest.raises(InsufficientDataError, match=named):
+        noise_sweep(2.0, PI / 2, 0.2, [0.0], 1024, 128, seed=5, length=140)
+    x = gen_band_signal(BandSignalSpec(omega=PI / 3, mode="low", length=140, seed=3), 1024)
+    with pytest.raises(InsufficientDataError, match=named):
+        corollary_split_experiment(x, PI / 3, kern, -4.0, 1.0, 1024, 128)
+    # one sample more is enough
+    rows = gamma_sweep(kern, PI / 3, "low",
+                       BandSignalSpec(omega=PI / 3, mode="low", length=169, seed=3),
+                       [-1.0], 1024, 128)
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("omega, eps", [(PI / 2, 4e-16), (PI / 2, 1e-16), (1.0, 1e-15)])
+def test_budget_refuses_eps_below_double_precision(omega, eps):
+    # omega - eps/4 rounds to omega, or so close to it that psi0 rounds to <= 0
+    with pytest.raises(ParameterError, match=r"eps=.* too small for double precision"):
+        budget(2.0, omega, eps, 0.0, 256)
+    assert budget(2.0, omega, 1e-13, 0.0, 256).psi0 > 0.0

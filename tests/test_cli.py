@@ -6,11 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from artifact import ParameterError
+from artifact import (
+    CausalityLeakError,
+    GridSizeError,
+    InsufficientDataError,
+    InternalConsistencyError,
+    ParameterError,
+    PredictionError,
+    SaturationError,
+)
 from artifact.cli import (
     EXIT_CAUSALITY_LEAK,
+    EXIT_INSUFFICIENT_DATA,
     EXIT_IO,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_PARAMETER,
     EXIT_SATURATION,
     _default_gammas,
@@ -277,3 +287,71 @@ def test_negative_seed_is_named(tmp_path, capsys, argv):
     code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_PARAMETER
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_exit_codes_live_on_the_error_classes():
+    assert (EXIT_OTHER, EXIT_PARAMETER, EXIT_INSUFFICIENT_DATA) == (1, 2, 3)
+    assert (EXIT_CAUSALITY_LEAK, EXIT_IO, EXIT_SATURATION) == (4, 5, 6)
+    assert PredictionError.exit_code == InternalConsistencyError.exit_code == EXIT_OTHER
+    assert ParameterError.exit_code == GridSizeError.exit_code == EXIT_PARAMETER
+    assert InsufficientDataError.exit_code == EXIT_INSUFFICIENT_DATA
+    assert CausalityLeakError.exit_code == EXIT_CAUSALITY_LEAK
+    assert SaturationError.exit_code == EXIT_SATURATION
+
+
+def test_predict_non_utf8_input_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfet,x_re,x_im\n0,0.5,0\n")
+    code = main([*PREDICT_ARGS, "--input", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--a", "2", "--omega", "pi/3", "--gamma", "-6", "--mode", "low",
+     "--n", "1024", "--m", "128", "--input", "SHORT"],
+    ["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--gamma=-1",
+     "--n", "1024", "--m", "128", "--length", "140"],
+    ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2", "--nu", "0",
+     "--n", "1024", "--m", "128", "--length", "140"],
+    ["split", "--a", "2", "--omega", "pi/3", "--gamma-low", "-8", "--gamma-high", "0.5",
+     "--n", "1024", "--m", "128", "--length", "140"],
+])
+def test_short_signal_exits_insufficient_data(tmp_path, capsys, argv):
+    short = tmp_path / "short.csv"
+    short.write_text("t,x_re,x_im\n" + "".join(f"{t},{math.sin(t)},0\n" for t in range(140)))
+    argv = [str(short) if a == "SHORT" else a for a in argv]
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_INSUFFICIENT_DATA
+    assert "length 140 is too short: m=128" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_noise_tiny_eps_is_a_parameter_error(tmp_path, capsys):
+    code = main(["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "4e-16",
+                 "--n", "256", "--m", "32", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    assert "eps=4e-16 is too small for double precision" in capsys.readouterr().err
+
+
+def test_usage_keeps_the_list_metavars(capsys):
+    for argv in (["sweep-gamma", "--help"], ["sweep-noise", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    out = capsys.readouterr().out
+    assert "[--gamma GAMMA]" in out and "[--nu NU]" in out
+
+
+def test_header_echoes_flags_in_declaration_order(tmp_path):
+    argv = ["sweep-gamma", "--length", "512", "--gamma=-1,-4", "--m", "128", "--n", "1024",
+            "--mode", "low", "--omega", "pi/3", "--a", "2"]
+    expected = {"a": "2", "b": "", "omega": format(PI / 3, ".17g"), "mode": "low",
+                "gammas": "-1,-4", "n": 1024, "m": 128, "length": 512, "seed": 0,
+                "normalization": "unit_l2", "engine": "numpy"}
+    csv, js = tmp_path / "o.csv", tmp_path / "o.json"
+    assert main([*argv, "--out", str(csv)]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--out", str(js)]) == EXIT_OK
+    header = [ln[2:] for ln in _read(csv).decode().splitlines()[2:] if ln.startswith("# ")]
+    assert header == [f"{key}={value}" for key, value in expected.items()]
+    assert json.loads(_read(js))["config"] == expected

@@ -22,6 +22,7 @@ from artifact import (
     error_report,
     forecast,
     gen_band_signal,
+    interior_window,
     lq_grid_norm,
     target,
 )
@@ -248,3 +249,15 @@ def test_windowed_dot_matches_definition():
         got = part(windowed_dot(taps, x, 10, 20, 1))
         want = part(_definition(taps, x, 10, 20, 1))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_interior_window_bounds_and_shortfall():
+    kern = FirstOrderKernel(2.0)
+    tail = anticausal_tail_len(kern.a)
+    x = Signal(1000, np.ones(32 + tail + 1))
+    assert interior_window(x, 32, kern.a) == (1032, 1032)
+    params = PredictorParams(omega=PI / 3, gamma=-1.0, n=256, m=32, mode="low")
+    assert PredictionRun(x, kern, params, 1032, 1032).window_length == 1
+    short = Signal(1000, np.ones(32 + tail))
+    with pytest.raises(InsufficientDataError, match=f"length {32 + tail} is too short"):
+        interior_window(short, 32, kern.a)
