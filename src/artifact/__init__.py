@@ -87,6 +87,7 @@ from .analysis import (
     gamma_sweep,
     khat_sup_norm,
     noise_sweep,
+    noise_sweep_for,
     nu_i3_closed_form,
 )
 

@@ -200,8 +200,18 @@ def noise_sweep(a: float, omega: float, eps: float, nus, n: int, m: int,
     fraction (see `extended`).  Otherwise the float64 path runs unchanged.
     The row's words field records the choice.
     """
+    return noise_sweep_for(budget(a, omega, eps, 0.0, n), nus, m, seed, length)
+
+
+def noise_sweep_for(base: ErrorBudget, nus, m: int, seed: int,
+                    length: int | None = None) -> list[NoiseSweepRow]:
+    """`noise_sweep` for the predictor that the nu=0 budget `base` designs.
+
+    A caller that also reports the budget passes the one it computed, so the
+    budget is evaluated once.
+    """
+    a, omega, eps, n = base.a, base.omega, base.eps, base.n
     length = n if length is None else int(length)
-    base = budget(a, omega, eps, 0.0, n)
     unit_nu_i3 = nu_i3_closed_form(base.kappa, 1.0, base.omega, eps, base.mu, base.psi0)
     kernel = FirstOrderKernel(a)
     params = PredictorParams(omega=omega, gamma=base.gamma_eps, n=n, m=m, mode="low")

@@ -9,10 +9,14 @@ Subcommands:
     split        two-band split prediction experiment
 
 Every flag is declared once, in FLAGS; each subcommand in COMMANDS lists the
-flags it takes.  Output is CSV (default) or JSON.  CSV numbers carry 17
-significant digits so parsing them recovers the exact doubles; '#' header
-lines echo the parsed flags in their declaration order, then what the
-command computed, and identical flags always reproduce identical bytes.
+flags it takes.  The parser registers every subcommand with its help line but
+declares flags only for the invoked one.  Output is CSV (default) or JSON.
+CSV numbers carry 17 significant digits so parsing them recovers the exact
+doubles; JSON numbers are the shortest repr that round-trips, as `json`
+writes them.  '#' header lines echo the parsed flags in their declaration
+order, then what the command computed, and identical flags always reproduce
+identical bytes.  Tables are built from columns and formatted in bulk: one
+%-format per CSV row, one C-encoder call per JSON table.
 Exit codes come from the error classes (see `errors`): 0 ok, 2 parameter,
 3 signal too short for the history and anticausal tail a window needs,
 4 causality leak, 5 I/O, 6 saturation, 1 anything else.
@@ -30,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._engine import ENGINE
-from .analysis import budget, corollary_split_experiment, gamma_sweep, noise_sweep
+from .analysis import budget, corollary_split_experiment, gamma_sweep, noise_sweep_for
 from .errors import (
     CausalityLeakError,
     InsufficientDataError,
@@ -154,44 +158,74 @@ def _write_lines(path: str, lines: list[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _columns(*columns) -> list[tuple]:
+    """Table rows from equal-length columns, arrays through tolist(): cells are Python numbers."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
 def _csv_document(command: str, config: list[tuple[str, object]],
-                  columns: list[str], rows: list[list]) -> list[str]:
+                  columns: list[str], rows: list[tuple]) -> list[str]:
     lines = [f"# format-version: {FORMAT_VERSION}", f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}={value}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    if rows:
+        # the text of _fmt, one %-format per row: %d for integer columns
+        row_format = ",".join("%d" if isinstance(cell, (int, np.integer)) else "%.17g"
+                              for cell in rows[0])
+        lines += map(row_format.__mod__, rows)
     return lines
 
 
-def _json_document(command: str, config: list[tuple[str, object]], body: dict) -> list[str]:
+def _json_rows(rows: list[tuple], depth: int) -> str:
+    """`rows` laid out as json.dumps(..., indent=2) lays out a list at nesting `depth`.
+
+    indent= selects json's pure-Python encoder; the C encoder writes the same
+    number tokens, so the rows are encoded once by it and re-indented.  Every
+    cell is a number, so "], [" only separates rows and ", " only cells.
+    """
+    if not rows:
+        return "[]"
+    outer, row, cell = ("\n" + "  " * level for level in (depth, depth + 1, depth + 2))
+    text = json.dumps(rows)[2:-2].replace("], [", f"{row}],{row}[{cell}").replace(", ", f",{cell}")
+    return f"[{row}[{cell}{text}{row}]{outer}]"
+
+
+def _json_document(command: str, config: list[tuple[str, object]], tables: dict) -> list[str]:
+    """The text of json.dumps(doc, sort_keys=True, indent=2), the table rows encoded in bulk.
+
+    `tables` maps a key of the document to a table's (columns, rows); the key
+    None puts the table's columns and rows at the top level.  Each table's
+    rows stand in the skeleton as a placeholder string that starts with NUL,
+    which no column name or header value holds (a command line cannot carry
+    one).
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "command": command,
         "config": {key: value for key, value in config},
     }
-    doc.update(body)
-    return [json.dumps(doc, sort_keys=True, indent=2)]
-
-
-def _json_table(columns: list[str], rows: list[list]) -> dict:
-    return {"columns": columns, "rows": [[_cell_json(c) for c in row] for row in rows]}
+    placed = []
+    for key, (columns, rows) in tables.items():
+        placeholder = f"\0{len(placed)}"
+        table = {"columns": columns, "rows": placeholder}
+        if key is None:
+            doc.update(table)
+        else:
+            doc[key] = table
+        placed.append((json.dumps(placeholder), _json_rows(rows, 1 if key is None else 2)))
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    for placeholder, rows in placed:
+        text = text.replace(placeholder, rows, 1)
+    return [text]
 
 
 def _emit(args, command: str, config: list[tuple[str, object]],
-          columns: list[str], rows: list[list], path: str | None = None) -> None:
-    out = path if path is not None else args.out
+          columns: list[str], rows: list[tuple]) -> None:
     if args.format == "csv":
-        _write_lines(out, _csv_document(command, config, columns, rows))
+        _write_lines(args.out, _csv_document(command, config, columns, rows))
     else:
-        _write_lines(out, _json_document(command, config, _json_table(columns, rows)))
-
-
-def _cell_json(cell):
-    if isinstance(cell, (int, np.integer)):
-        return int(cell)
-    return float(cell)
+        _write_lines(args.out, _json_document(command, config, {None: (columns, rows)}))
 
 
 def _taps_path(out: str) -> str:
@@ -219,18 +253,15 @@ def _cmd_kernel(args) -> int:
     config = _config(args, args.flags, alpha=al, root_identity_residual=residual,
                      tap_l1_tail=float(np.sum(np.abs(half[params.m:]))), engine=ENGINE)
     grid_cols = ["omega", "k_re", "k_im", "v_re", "v_im", "khat_re", "khat_im", "psi"]
-    grid_rows = [
-        [om[j], k[j].real, k[j].imag, v[j].real, v[j].imag, khat[j].real, khat[j].imag, psis[j]]
-        for j in range(params.n)
-    ]
+    grid = _columns(om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag, psis)
     tap_cols = ["t", "khat"]
-    tap_rows = [[t, half[t]] for t in range(params.m)]
+    taps = _columns(range(params.m), half[:params.m])
     if args.format == "csv":
-        _emit(args, "kernel", config, grid_cols, grid_rows)
-        _emit(args, "kernel-taps", config, tap_cols, tap_rows, path=_taps_path(args.out))
+        _write_lines(args.out, _csv_document("kernel", config, grid_cols, grid))
+        _write_lines(_taps_path(args.out), _csv_document("kernel-taps", config, tap_cols, taps))
     else:
-        body = {"grid": _json_table(grid_cols, grid_rows), "taps": _json_table(tap_cols, tap_rows)}
-        _write_lines(args.out, _json_document("kernel", config, body))
+        _write_lines(args.out, _json_document("kernel", config, {"grid": (grid_cols, grid),
+                                                                 "taps": (tap_cols, taps)}))
     return EXIT_OK
 
 
@@ -251,7 +282,7 @@ def _make_signal(args) -> tuple[Signal, list[tuple[str, object]]]:
 def _cmd_gen(args) -> int:
     x, config = _make_signal(args)
     columns = ["t", "x_re", "x_im"]
-    rows = [[int(t), x.values[i].real, x.values[i].imag] for i, t in enumerate(x.times())]
+    rows = _columns(x.times(), x.values.real, x.values.imag)
     _emit(args, "gen", config + _config(args, ("n",)), columns, rows)
     return EXIT_OK
 
@@ -313,7 +344,7 @@ def _cmd_predict(args) -> int:
         args, (), eval_start=run.eval_start, eval_stop=run.eval_stop, tail_len=run.tail_len,
         x_spectrum_l2=l2x, target_l2=norm(y, "l2"), engine=ENGINE)
     columns = ["abs_l2", "abs_linf", "rel_l2", "rel_linf"]
-    rows = [[rep.abs_l2, rep.abs_linf, rep.rel_l2_vs_l2x, rep.rel_linf_vs_l2x]]
+    rows = [(rep.abs_l2, rep.abs_linf, rep.rel_l2_vs_l2x, rep.rel_linf_vs_l2x)]
     _emit(args, "predict", config, columns, rows)
     return EXIT_OK
 
@@ -331,7 +362,7 @@ def _cmd_sweep_gamma(args) -> int:
                           seed=args.seed, normalization=args.normalization)
     rows = gamma_sweep(kernel, args.omega, args.mode, spec, args.gammas, args.n, args.m)
     columns = ["gamma", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
-    body = [[r.gamma, r.abs_l2, r.abs_linf, r.rel_l2, r.rel_linf] for r in rows]
+    body = [(r.gamma, r.abs_l2, r.abs_linf, r.rel_l2, r.rel_linf) for r in rows]
     _emit(args, "sweep-gamma", _config(args, args.flags, engine=ENGINE), columns, body)
     return EXIT_OK
 
@@ -339,14 +370,13 @@ def _cmd_sweep_gamma(args) -> int:
 def _cmd_sweep_noise(args) -> int:
     if args.length is None:
         args.length = args.n
-    rows = noise_sweep(args.a, args.omega, args.eps, args.nus, args.n, args.m,
-                       seed=args.seed, length=args.length)
     b = budget(args.a, args.omega, args.eps, 0.0, args.n)
+    rows = noise_sweep_for(b, args.nus, args.m, seed=args.seed, length=args.length)
     computed = ("kappa", "alpha", "omega1", "psi0", "mu", "gamma_eps", "i1", "i2", "i3", "i2_cap")
     config = _config(args, args.flags, **{key: getattr(b, key) for key in computed},
                      engine=ENGINE)
     columns = ["nu", "measured_linf", "budget_i12", "budget_nu_i3"]
-    body = [[r.nu, r.measured_linf, r.budget_i12, r.budget_nu_i3] for r in rows]
+    body = [(r.nu, r.measured_linf, r.budget_i12, r.budget_nu_i3) for r in rows]
     _emit(args, "sweep-noise", config, columns, body)
     return EXIT_OK
 
@@ -361,8 +391,8 @@ def _cmd_split(args) -> int:
     report = corollary_split_experiment(x, args.omega, kernel,
                                         args.gamma_low, args.gamma_high, args.n, args.m)
     columns = ["combined_rel_l2", "low_rel_l2", "high_rel_l2", "low_energy", "high_energy"]
-    rows = [[report.combined_rel_l2, report.low_rel_l2, report.high_rel_l2,
-             report.low_energy, report.high_energy]]
+    rows = [(report.combined_rel_l2, report.low_rel_l2, report.high_rel_l2,
+             report.low_energy, report.high_energy)]
     _emit(args, "split", _config(args, args.flags, engine=ENGINE), columns, rows)
     return EXIT_OK
 
@@ -387,20 +417,36 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it declares its flags when argparse hands it the argv.
+
+    So a call builds the argparse actions of the invoked command only, while
+    help, usage and error text stay those of a parser that declares them all.
+    """
+
+    def __init__(self, flags=(), **kwargs):
+        super().__init__(**kwargs)
+        self._undeclared = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag in self._undeclared:
+            name = flag.rstrip("!")
+            kwargs = dict(FLAGS[name])
+            option = kwargs.pop("flag", "--" + name.replace("_", "-"))
+            self.add_argument(option, dest=name, required=flag.endswith("!"), **kwargs)
+        self._undeclared = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandpredict",
         description="Causal predicting kernels for band-limited sequences: "
                     "design dumps, test signals, predictions, and experiment sweeps.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (handler, help_text, flags) in COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
-        for flag in (*flags, "out!", "format"):
-            name = flag.rstrip("!")
-            kwargs = dict(FLAGS[name])
-            option = kwargs.pop("flag", "--" + name.replace("_", "-"))
-            sub.add_argument(option, dest=name, required=flag.endswith("!"), **kwargs)
+        sub = subs.add_parser(command, help=help_text, flags=(*flags, "out!", "format"))
         sub.set_defaults(handler=handler, flags=tuple(flag.rstrip("!") for flag in flags))
     return parser
 

@@ -355,3 +355,27 @@ def test_header_echoes_flags_in_declaration_order(tmp_path):
     header = [ln[2:] for ln in _read(csv).decode().splitlines()[2:] if ln.startswith("# ")]
     assert header == [f"{key}={value}" for key, value in expected.items()]
     assert json.loads(_read(js))["config"] == expected
+
+
+def test_sweep_noise_evaluates_the_budget_once(tmp_path, monkeypatch):
+    import artifact.analysis
+    import artifact.cli
+
+    budget = artifact.analysis.budget
+    calls = []
+
+    def counting_budget(*args, **kwargs):
+        calls.append(args)
+        return budget(*args, **kwargs)
+
+    monkeypatch.setattr(artifact.analysis, "budget", counting_budget)
+    monkeypatch.setattr(artifact.cli, "budget", counting_budget)
+    out = tmp_path / "o.csv"
+    assert main(["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2",
+                 "--nu", "0,0.01", "--n", "1024", "--m", "256", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    header = dict(ln[2:].split("=", 1) for ln in _read(out).decode().splitlines()
+                  if ln.startswith("# ") and "=" in ln)
+    b = budget(2.0, PI / 2, 0.2, 0.0, 1024)
+    assert header["gamma_eps"] == format(b.gamma_eps, ".17g")
+    assert header["i1"] == format(b.i1, ".17g")
