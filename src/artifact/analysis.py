@@ -16,14 +16,13 @@ exactly once, in comparisons, never inside the budget terms themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 from .extended import forecast_from_spectrum, words_needed
-from .kernels import (FirstOrderKernel, PredictorParams, TransferGrid, alpha, causal_kernel,
-                      k_transfer, psi)
+from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
 from .predictor import PredictionRun, error_report, forecast, interior_window, target
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
                       ideal_filter_split, noisy_spectrum)
@@ -39,7 +38,8 @@ class ErrorBudget:
     """Budget quantities for one (a, omega, eps, nu, n) configuration.
 
     i2_cap is the coarse fringe bound kappa * (band fringe measure); nu_i3 is
-    the closed-form out-of-band bound, exactly linear in nu.
+    the closed-form out-of-band bound, exactly linear in nu.  grid holds the
+    transfer arrays kappa and alpha came from, for the predictor at gamma_eps.
     """
 
     a: float
@@ -58,6 +58,7 @@ class ErrorBudget:
     i3: float
     i2_cap: float
     nu_i3: float
+    grid: TransferGrid | None = field(default=None, compare=False, repr=False)
 
 
 def nu_i3_closed_form(kappa: float, nu: float, omega: float, eps: float,
@@ -77,19 +78,16 @@ def nu_i3_closed_form(kappa: float, nu: float, omega: float, eps: float,
 
 def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget:
     """Compute the full error budget for the plain-pole kernel 1/(z+a)."""
-    omega = float(omega)
-    eps = float(eps)
-    nu = float(nu)
+    omega, eps, nu = float(omega), float(eps), float(nu)
     if not (0.0 < omega < math.pi):
         raise ParameterError(f"band edge must lie in (0, pi), got {omega}")
     if not (0.0 < eps < 4.0 * omega):
         raise ParameterError(f"eps must lie in (0, 4*omega), got {eps}")
     if not (0.0 <= nu < 1.0):
         raise ParameterError(f"nu must lie in [0, 1), got {nu}")
-    kernel = FirstOrderKernel(a)
+    grid = TransferGrid(FirstOrderKernel(a), omega, n)
     om = grid_omegas(n)
-    kappa = float(np.max(np.abs(k_transfer(kernel, n).values)))
-    al = alpha(a, omega)
+    kappa, al = float(np.max(np.abs(grid.k))), grid.alpha
     omega1 = omega - eps / 4.0
     psi_grid = psi(a, al, om)
     # psi is a Moebius function of cos w, so it is monotone on [0, pi]; it is
@@ -118,7 +116,7 @@ def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget
         kappa=kappa, alpha=al, omega1=omega1, psi0=psi0, mu=mu,
         gamma_eps=gamma_eps, i1=i1, i2=i2, i3=i3,
         i2_cap=kappa * (eps / 2.0),
-        nu_i3=nu_i3_closed_form(kappa, nu, omega, eps, mu, psi0),
+        nu_i3=nu_i3_closed_form(kappa, nu, omega, eps, mu, psi0), grid=grid,
     )
 
 
@@ -215,7 +213,7 @@ def noise_sweep_for(base: ErrorBudget, nus, m: int, seed: int,
     unit_nu_i3 = nu_i3_closed_form(base.kappa, 1.0, base.omega, eps, base.mu, base.psi0)
     kernel = FirstOrderKernel(a)
     params = PredictorParams(omega=omega, gamma=base.gamma_eps, n=n, m=m, mode="low")
-    taps = causal_kernel(kernel, params)
+    taps = causal_kernel(kernel, params, base.grid)
     tap_l1 = norm(taps, "l1")
     rows = []
     for nu in nus:

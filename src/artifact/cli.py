@@ -42,11 +42,10 @@ from .errors import (
     PredictionError,
     SaturationError,
 )
-from .kernels import (FirstOrderKernel, PredictorParams, alpha, causal_kernel, k_transfer, psi,
-                      v_transfer)
+from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
 from .predictor import PredictionRun, error_report, forecast, interior_window, target
 from .signals import BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum
-from .spectral import Signal, grid_omegas, norm, spectrum_l2
+from .spectral import Signal, grid_omegas, mirror_half, norm, spectrum_l2
 
 FORMAT_VERSION = "1"
 
@@ -58,6 +57,8 @@ EXIT_CAUSALITY_LEAK = CausalityLeakError.exit_code
 EXIT_IO = 5
 EXIT_SATURATION = SaturationError.exit_code
 
+# "-" then a digit, ".digit", "inf" or "nan" is a value (-1e-3, -inf, -1,-4)
+_NEGATIVE_VALUE = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 _PI_FORM = re.compile(r"^\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$")
 
 
@@ -240,27 +241,26 @@ def _taps_path(out: str) -> str:
 def _cmd_kernel(args) -> int:
     kernel = FirstOrderKernel(args.a, args.b)
     params = PredictorParams(omega=args.omega, gamma=args.gamma, n=args.n, m=args.m, mode=args.mode)
-    al = alpha(kernel.a, params.omega)
+    # one grid gives the curves, mirrored, and the taps of the whole causal half
+    # with the l1 mass beyond m; an m past the half is refused with its own value
+    grid = TransferGrid(kernel, params.omega, params.n)
+    al, v = grid.alpha, grid.damping(params.gamma)
+    k, v, khat = (mirror_half(h) for h in (grid.k, v, v * grid.k))
     om = grid_omegas(params.n)
-    k = k_transfer(kernel, params.n).values
-    v = v_transfer(kernel.a, al, params.gamma, params.n).values
-    khat = v * k
     psis = psi(kernel.a, al, om)
-    # one inversion of the whole causal half gives the taps and the l1 mass
-    # discarded beyond m; an m past the half is refused with its own value
-    half = causal_kernel(kernel, replace(params, m=max(params.m, params.n // 2))).values.real
+    half = causal_kernel(kernel, replace(params, m=max(params.m, params.n // 2)), grid).values.real
     residual = abs(1.0 + al * kernel.a + (kernel.a + al) * math.cos(params.omega))
     config = _config(args, args.flags, alpha=al, root_identity_residual=residual,
                      tap_l1_tail=float(np.sum(np.abs(half[params.m:]))), engine=ENGINE)
     grid_cols = ["omega", "k_re", "k_im", "v_re", "v_im", "khat_re", "khat_im", "psi"]
-    grid = _columns(om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag, psis)
+    curves = _columns(om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag, psis)
     tap_cols = ["t", "khat"]
     taps = _columns(range(params.m), half[:params.m])
     if args.format == "csv":
-        _write_lines(args.out, _csv_document("kernel", config, grid_cols, grid))
+        _write_lines(args.out, _csv_document("kernel", config, grid_cols, curves))
         _write_lines(_taps_path(args.out), _csv_document("kernel-taps", config, tap_cols, taps))
     else:
-        _write_lines(args.out, _json_document("kernel", config, {"grid": (grid_cols, grid),
+        _write_lines(args.out, _json_document("kernel", config, {"grid": (grid_cols, curves),
                                                                  "taps": (tap_cols, taps)}))
     return EXIT_OK
 
@@ -427,6 +427,7 @@ class _CommandParser(argparse.ArgumentParser):
     def __init__(self, flags=(), **kwargs):
         super().__init__(**kwargs)
         self._undeclared = flags
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def parse_known_args(self, args=None, namespace=None):
         for flag in self._undeclared:

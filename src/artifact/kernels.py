@@ -27,15 +27,13 @@ analysis.noise_sweep detects that floor and scores such rows in extended
 precision (see the extended module); analysis.gamma_sweep still scores in
 float64, so its rows in that regime measure roundoff, not prediction.
 
-Taps come from the real half-spectrum.  For real a, b and alpha, Khat is
-Hermitian, Khat(-w) = conj(Khat(w)), so its n/2+1 values on
-omega_k = 2*pi*k/n, k = 0 .. n/2, define it and np.fft.irfft gives its real
-period.  Only the exponent's scale gamma changes along a sweep: a
-TransferGrid holds K and the exponent direction s*(z+a)/(z+alpha) for one
-(kernel, omega, n), a sweep builds it once, and each gamma then costs one
-complex exp on those bins and one irfft.  k_transfer and v_transfer evaluate
-the full ascending grid for the kernel command's transfer dump, and
-predictor_transfer is their product.
+Transfers are evaluated on the real half-spectrum only.  For real a, b and
+alpha, K, V and Khat are Hermitian, so their values on omega_k = 2*pi*k/n,
+k = 0 .. n/2, define them, np.fft.irfft gives the real period of Khat, and
+k_transfer, v_transfer and predictor_transfer mirror them onto the grid.  A
+TransferGrid holds alpha, K and the exponent direction s*(z+a)/(z+alpha) for
+one (kernel, omega, n); a sweep builds it once, and each gamma then costs
+one complex exp on those bins and one irfft.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalityLeakError, GridSizeError, ParameterError, SaturationError
-from .spectral import Signal, SpectrumGrid, grid_omegas
+from .spectral import Signal, SpectrumGrid, _checked_grid_size, half_omegas, mirror_half
 
 # Relative l2 mass tolerated at negative time indices when inverting Khat on
 # a finite grid; above this the grid is considered too small for the gamma.
@@ -121,12 +119,9 @@ class PredictorParams:
             raise ParameterError("low mode requires gamma <= 0")
         if self.mode == "high" and self.gamma < 0:
             raise ParameterError("high mode requires gamma >= 0")
-        n = int(self.n)
-        if n < 8 or (n & (n - 1)) != 0:
-            raise GridSizeError(f"grid size must be a power of two >= 8, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _checked_grid_size(self.n))
         m = int(self.m)
-        if not 1 <= m <= n:
+        if not 1 <= m <= self.n:
             raise ParameterError(f"truncation length must satisfy 1 <= m <= n, got {m}")
         object.__setattr__(self, "m", m)
 
@@ -153,10 +148,10 @@ def alpha(a: float, omega: float) -> float:
 
 def k_transfer(kernel: FirstOrderKernel, n: int) -> SpectrumGrid:
     """Target transfer K on the grid; the two-parameter form uses 1 + c/(z+a)."""
-    z = np.exp(1j * grid_omegas(n))
+    z = np.exp(1j * half_omegas(n))
     base = 1.0 / (z + kernel.a)
-    vals = base if kernel.b is None else 1.0 + kernel.c * base
-    return SpectrumGrid(n, vals)
+    half = base if kernel.b is None else 1.0 + kernel.c * base
+    return SpectrumGrid(n, mirror_half(half))
 
 
 def anticausal_kernel(kernel: FirstOrderKernel, t_min: int) -> Signal:
@@ -179,23 +174,33 @@ def anticausal_kernel(kernel: FirstOrderKernel, t_min: int) -> Signal:
     return Signal(t_min, vals)
 
 
-def v_transfer(a: float, alpha_: float, gamma: float, n: int) -> SpectrumGrid:
-    """Damping factor V = 1 - exp(gamma * sign(a+alpha) * (z+a)/(z+alpha)) bin-wise."""
-    a = float(a)
-    if not abs(alpha_) < 1.0:
-        raise ParameterError(f"|alpha| must be < 1, got {alpha_}")
-    om = grid_omegas(n)
-    z = np.exp(1j * om)
+def _direction(a: float, alpha_: float, n: int) -> np.ndarray:
+    """Exponent direction s*(z+a)/(z+alpha), s = sign(a+alpha), on half_omegas(n)."""
+    z = np.exp(1j * half_omegas(n))
     s = 1.0 if a + alpha_ > 0 else -1.0
-    expo = gamma * s * (z + a) / (z + alpha_)
-    worst = int(np.argmax(expo.real))
-    if expo.real[worst] > EXP_GUARD:
+    return s * (z + a) / (z + alpha_)
+
+
+def _damping(direction: np.ndarray, gamma: float, out=None) -> np.ndarray:
+    """V = 1 - exp(gamma * direction) on the half-spectrum bins of `direction`, into `out`."""
+    expo = np.multiply(direction, gamma, out=out)
+    # Re(expo) is even, and reversed these are the grid's bins 0 .. n/2: j is its first maximum
+    j = int(np.argmax(expo.real[::-1]))
+    worst = expo.real[-1 - j]
+    if worst > EXP_GUARD:
         raise SaturationError(
-            f"damping exponent real part {expo.real[worst]:.1f} exceeds {EXP_GUARD:.0f} "
-            f"at omega={om[worst]:.6f} (bin {worst}); "
+            f"damping exponent real part {worst:.1f} exceeds {EXP_GUARD:.0f} at omega="
+            f"{2.0 * np.pi * (j + 1 - direction.size) / (2 * direction.size - 2):.6f} (bin {j}); "
             f"kernel magnitudes would overflow double precision"
         )
-    return SpectrumGrid(n, 1.0 - np.exp(expo))
+    return np.subtract(1.0, np.exp(expo, out=expo), out=expo)
+
+
+def v_transfer(a: float, alpha_: float, gamma: float, n: int) -> SpectrumGrid:
+    """Damping factor V = 1 - exp(gamma * sign(a+alpha) * (z+a)/(z+alpha)) bin-wise."""
+    if not abs(alpha_) < 1.0:
+        raise ParameterError(f"|alpha| must be < 1, got {alpha_}")
+    return SpectrumGrid(n, mirror_half(_damping(_direction(float(a), alpha_, n), gamma)))
 
 
 def psi(a: float, alpha_: float, omega):
@@ -219,38 +224,35 @@ def psi(a: float, alpha_: float, omega):
 
 
 def predictor_transfer(kernel: FirstOrderKernel, params: PredictorParams) -> SpectrumGrid:
-    """Causal predictor transfer Khat = V * K on the grid.
-
-    For the two-parameter kernel this is V * (1 + c/(z+a)): one damping factor
-    for the whole kernel.
-    """
-    al = alpha(kernel.a, params.omega)
-    v = v_transfer(kernel.a, al, params.gamma, params.n)
-    k = k_transfer(kernel, params.n)
-    return SpectrumGrid(params.n, v.values * k.values)
+    """Causal predictor transfer Khat = V * K on the grid; one V for either kernel form."""
+    grid = TransferGrid(kernel, params.omega, params.n)
+    return SpectrumGrid(params.n, mirror_half(grid.damping(params.gamma) * grid.k))
 
 
 class TransferGrid:
     """The gamma-independent arrays of Khat on the real half-spectrum.
 
-    For one (kernel, omega, n): K and the exponent direction
-    s*(z+a)/(z+alpha) on the bins omega_k = 2*pi*k/n, k = 0 .. n/2.  These
-    are the ascending grid's bins n/2 .. n-1 followed by its bin at -pi,
-    which stands in for +pi.  K comes from one k_transfer call.
+    For one (kernel, omega, n): alpha, and K and the exponent direction
+    s*(z+a)/(z+alpha) on the bins omega_k = 2*pi*k/n, k = 0 .. n/2
+    (spectral.half_omegas).  K is read back from one k_transfer call: its
+    grid bins n/2 .. n-1, then the conjugate of its bin at -pi.
     """
 
     def __init__(self, kernel: FirstOrderKernel, omega: float, n: int):
         self.kernel = kernel
         self.omega = _check_band_edge(omega)
         self.n = int(n)
-        half = self.n // 2
         k = k_transfer(kernel, self.n).values
-        self.k = np.concatenate([k[half:], k[:1]])
-        om = grid_omegas(self.n)
-        z = np.exp(1j * np.concatenate([om[half:], om[:1]]))
-        al = alpha(kernel.a, self.omega)
-        s = 1.0 if kernel.a + al > 0 else -1.0
-        self.direction = s * (z + kernel.a) / (z + al)
+        self.k = np.concatenate([k[self.n // 2:], np.conj(k[:1])])
+        self.alpha = alpha(kernel.a, self.omega)
+        self.direction = _direction(kernel.a, self.alpha, self.n)
+        # invert works in place here: with fresh temporaries per gamma, glibc
+        # trimmed and refaulted the heap every gamma in some heap layouts
+        self._work = np.empty_like(self.direction)
+
+    def damping(self, gamma: float) -> np.ndarray:
+        """V at gamma on the half-spectrum bins; refused past EXP_GUARD."""
+        return _damping(self.direction, gamma)
 
     def invert(self, gamma: float):
         """Real period khat(0) .. khat(n-1) of Khat at gamma, and its leak ratio.
@@ -258,24 +260,14 @@ class TransferGrid:
         Entries n/2 .. n-1 of the period stand for t - n < 0; the leak ratio
         is their l2 mass relative to the whole period.
         """
-        expo = gamma * self.direction
-        worst = int(np.argmax(expo.real))
-        if expo.real[worst] > EXP_GUARD:
-            # Re(expo) is even in omega: name the mirrored bin at -omega_k,
-            # which comes first on the ascending grid
-            j = self.n // 2 - worst
-            raise SaturationError(
-                f"damping exponent real part {expo.real[worst]:.1f} exceeds {EXP_GUARD:.0f} "
-                f"at omega={-np.pi + 2.0 * np.pi * j / self.n:.6f} (bin {j}); "
-                f"kernel magnitudes would overflow double precision"
-            )
-        period = np.fft.irfft((1.0 - np.exp(expo)) * self.k, self.n)
-        peak = float(np.max(np.abs(period)))
+        khat = np.multiply(_damping(self.direction, gamma, self._work), self.k, out=self._work)
+        period = np.fft.irfft(khat, self.n)
+        peak = max(float(period.max()), -float(period.min()))
         if peak == 0.0:  # gamma = 0 gives the zero kernel
             return period, 0.0
         # an exact power-of-two scale keeps the squares below overflow
-        scaled = np.ldexp(period, -math.frexp(peak)[1])
-        sq = scaled * scaled
+        sq = np.ldexp(period, -math.frexp(peak)[1], out=self._work.view(float)[: self.n])
+        sq *= sq
         neg = float(np.sum(sq[self.n // 2 :]))
         return period, math.sqrt(neg / (float(np.sum(sq[: self.n // 2])) + neg))
 
@@ -286,11 +278,8 @@ def _invert_predictor(kernel: FirstOrderKernel, params: PredictorParams,
     if grid is None:
         grid = TransferGrid(kernel, params.omega, params.n)
     elif (grid.kernel, grid.omega, grid.n) != (kernel, params.omega, params.n):
-        raise ParameterError(
-            f"transfer grid was built for a={grid.kernel.a}, b={grid.kernel.b}, "
-            f"omega={grid.omega}, n={grid.n}, not a={kernel.a}, b={kernel.b}, "
-            f"omega={params.omega}, n={params.n}"
-        )
+        raise ParameterError(f"transfer grid was built for {grid.kernel}, omega={grid.omega}, "
+                             f"n={grid.n}, not {kernel}, omega={params.omega}, n={params.n}")
     return grid.invert(params.gamma)
 
 

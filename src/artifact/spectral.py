@@ -3,11 +3,13 @@ used by the prediction error criteria.
 
 Grid convention used everywhere in this package: n equally spaced angles
 
-    omega_j = -pi + 2*pi*j/n,   j = 0 .. n-1,
+    omega_j = 2*pi*(j - n/2)/n,   j = 0 .. n-1,
 
 ascending, so the bin at -pi exists and the bin at +pi does not (half-open
 interval).  Band membership tests and the rectangle quadrature rule both rely
-on this layout.  All floating-point work is double precision.
+on this layout.  omega_{n-j} = -omega_j exactly, so mirror_half gives the grid
+values of a Hermitian F(-w) = conj(F(w)) from its values on half_omegas(n).
+All floating-point work is double precision.
 """
 
 from __future__ import annotations
@@ -80,9 +82,19 @@ class SpectrumGrid:
 
 
 def grid_omegas(n: int) -> np.ndarray:
-    """Ascending grid angles -pi + 2*pi*j/n for j = 0 .. n-1."""
+    """Ascending grid angles 2*pi*(j - n/2)/n for j = 0 .. n-1, from -pi."""
     n = _checked_grid_size(n)
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
+    return 2.0 * np.pi * (np.arange(n) - n // 2) / n
+
+
+def half_omegas(n: int) -> np.ndarray:
+    """The angles 2*pi*k/n, k = 0 .. n/2: grid bins n/2 .. n-1, then +pi."""
+    return 2.0 * np.pi * np.arange(_checked_grid_size(n) // 2 + 1) / n
+
+
+def mirror_half(half: np.ndarray) -> np.ndarray:
+    """Grid values of a Hermitian function from its values on half_omegas(n)."""
+    return np.concatenate([np.conj(half[-1:0:-1]), half[:-1]])
 
 
 def dtft_on_grid(x: Signal, n: int) -> SpectrumGrid:

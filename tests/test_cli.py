@@ -379,3 +379,52 @@ def test_sweep_noise_evaluates_the_budget_once(tmp_path, monkeypatch):
     b = budget(2.0, PI / 2, 0.2, 0.0, 1024)
     assert header["gamma_eps"] == format(b.gamma_eps, ".17g")
     assert header["i1"] == format(b.i1, ".17g")
+
+
+KERNEL_ARGS = ["kernel", "--omega", "pi/3", "--mode", "low", "--n", "1024", "--m", "64"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    ([*KERNEL_ARGS, "--a", "2"], "--gamma", "-1e-3"),
+    ([*KERNEL_ARGS, "--gamma", "-6"], "--a", "-2e0"),
+    ([*KERNEL_ARGS, "--a", "2"], "--gamma", "-.5"),
+    (["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--n", "1024",
+      "--m", "128", "--length", "512"], "--gamma", "-1,-4"),
+])
+def test_negative_values_in_separated_form(tmp_path, argv, flag, value):
+    # argparse's own pattern takes -1e-3, -2e0 and -1,-4 for flags
+    separated, equals = tmp_path / "s.csv", tmp_path / "e.csv"
+    assert main([*argv, flag, value, "--out", str(separated)]) == EXIT_OK
+    assert main([*argv, f"{flag}={value}", "--out", str(equals)]) == EXIT_OK
+    assert _read(separated) == _read(equals)
+
+
+def test_negative_infinity_reaches_the_gamma_check(tmp_path, capsys):
+    code = main([*KERNEL_ARGS, "--a", "2", "--gamma", "-inf", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    assert "damping gamma must be finite, got gamma=-inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [*KERNEL_ARGS, "--a", "2", "--b", "0.5", "--gamma", "-6"],
+    ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2", "--nu", "0,0.01",
+     "--n", "1024", "--m", "256"],
+])
+def test_one_k_evaluation_per_job(tmp_path, monkeypatch, argv):
+    import sys
+
+    import artifact.kernels
+
+    k_transfer = artifact.kernels.k_transfer
+    calls = []
+
+    def counting_k_transfer(*args, **kwargs):
+        calls.append(args)
+        return k_transfer(*args, **kwargs)
+
+    # every module that binds the name, as a tracer would hook it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artifact") and getattr(module, "k_transfer", None) is k_transfer:
+            monkeypatch.setattr(module, "k_transfer", counting_k_transfer)
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert len(calls) == 1

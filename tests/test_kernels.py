@@ -17,6 +17,7 @@ from artifact import (
     anticausal_kernel,
     causal_kernel,
     causality_leak_ratio,
+    grid_omegas,
     inverse_grid,
     k_transfer,
     predictor_transfer,
@@ -379,3 +380,38 @@ def test_leak_guard_survives_huge_taps():
     assert causality_leak_ratio(kern, params) > 0.5
     with pytest.raises(CausalityLeakError):
         causal_kernel(kern, params)
+
+
+# ------------------------------------------- exact Hermitian symmetry
+
+def _conj_mirrored(values):
+    """F(-omega_j) == conj(F(omega_j)) bit for bit on every bin that has a mirror."""
+    return np.array_equal(values[1:], np.conj(values[:0:-1]))
+
+
+@pytest.mark.parametrize("n", [8, 1024, 32768, 65536])
+def test_grid_and_transfers_are_exactly_hermitian(n):
+    om = grid_omegas(n)
+    assert np.array_equal(om[1:], -om[:0:-1])
+    assert om[0] == -PI and om[n // 2] == 0.0
+    for kern in (FirstOrderKernel(2.0), FirstOrderKernel(2.0, -0.7), FirstOrderKernel(-3.0, 0.5)):
+        assert _conj_mirrored(k_transfer(kern, n).values)
+    low_al, high_al = alpha(2.0, PI / 3), alpha(-2.0, PI / 3)
+    assert _conj_mirrored(v_transfer(2.0, low_al, -6.0, n).values)
+    assert _conj_mirrored(v_transfer(-2.0, high_al, 6.0, n).values)
+    for kern, gamma, mode in ((FirstOrderKernel(2.0), -6.0, "low"),
+                              (FirstOrderKernel(-2.0, 0.5), 6.0, "high")):
+        params = PredictorParams(omega=PI / 3, gamma=gamma, n=n, m=4, mode=mode)
+        assert _conj_mirrored(predictor_transfer(kern, params).values)
+    for a, al in ((2.0, low_al), (-2.0, high_al)):
+        p = psi(a, al, om)
+        assert np.array_equal(p[1:], p[:0:-1])
+
+
+def test_transfer_grid_reads_the_half_back():
+    kern = FirstOrderKernel(2.0, -0.7)
+    grid = TransferGrid(kern, PI / 3, 1024)
+    k = k_transfer(kern, 1024).values
+    assert grid.k.size == 513 and grid.alpha == alpha(2.0, PI / 3)
+    assert np.array_equal(grid.k[:512], k[512:])
+    assert np.array_equal(grid.k[512], np.conj(k[0]))

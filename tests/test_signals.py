@@ -37,6 +37,16 @@ def test_low_band_mask_closed_and_tied():
     assert not mask[0]  # omega = -pi is out of band
 
 
+def test_low_band_mask_matches_the_ascending_formula():
+    # the grid's angles are centred; the band masks, and with them the
+    # generated signals, are those of the angles -pi + 2*pi*j/n
+    for e in range(8, 17):
+        n = 2 ** e
+        absom = np.abs(-np.pi + 2.0 * np.pi * np.arange(n) / n)
+        for omega in (PI / 3, PI / 2, PI / 4, 1.0, 2 * PI / 3, 0.8 * PI, 0.9 * PI, 0.95 * PI):
+            assert np.array_equal(low_band_mask(n, omega), absom <= omega), (n, omega)
+
+
 def test_band_spectrum_exact_zeros():
     n = 256
     spec = BandSignalSpec(omega=PI / 3, mode="low", length=n, seed=1)
