@@ -74,6 +74,7 @@ from .predictor import (
     anticausal_tail_len,
     error_report,
     forecast,
+    forecast_stack,
     interior_window,
     target,
 )

@@ -1,13 +1,24 @@
 """The direct windowed convolution every scoring sum goes through.
 
 `windowed_dot` slices exactly the input samples a window may read and
-evaluates each output as its own dot product with `np.convolve` on real
-float64 arrays, so no output can depend on a sample outside its own span.
-Complex operands are split into real and imaginary parts; a part that is
-identically zero is skipped, a tiny but nonzero one is kept.
+evaluates each output as its own dot product on real float64 arrays, so no
+output can depend on a sample outside its own span.  Complex operands are
+split into real and imaginary parts; a part that is identically zero is
+skipped, a tiny but nonzero one is kept.
+
+The taps are one tapset of m taps or a stack of G tapsets, shape (G, m),
+all read against the same input windows.  One tapset, or a stack of one,
+goes through `np.convolve` over the exact window.  A stack of several reads
+each input window once for all G tapsets: fixed blocks of b consecutive
+windows are copied into one reused (b, m) buffer, the last block padded with
+zero rows, and each block is multiplied by the whole stack in one
+`np.matmul`.  b = block_rows(m) depends on m only, never on the number of
+outputs, so every product has the same shape and an output's bits do not
+depend on how many outputs the call computes.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
@@ -33,6 +44,11 @@ def check_window(m, size, start, count, stride):
     return lo, hi
 
 
+def block_rows(m):
+    """Input windows per block of a stacked product: max(16, 16384 // m)."""
+    return max(16, 16384 // m)
+
+
 def _real_parts(values):
     """Real part and, when it has a nonzero entry, imaginary part as float64 arrays."""
     values = np.asarray(values)
@@ -42,17 +58,61 @@ def _real_parts(values):
     return np.ascontiguousarray(values.real, dtype=np.float64), imag if imag.any() else None
 
 
+def _blocked(seg, weights, count):
+    """out[i, p] = seg[i : i + m] . weights[:, p] for i < count, b windows per matmul."""
+    m = weights.shape[0]
+    b = block_rows(m)
+    windows = sliding_window_view(seg, m)
+    out = np.empty((-(-count // b) * b, weights.shape[1]))
+    block = np.zeros((b, m))
+    for i in range(0, count, b):
+        rows = min(b, count - i)
+        block[:rows] = windows[i : i + rows]
+        if rows < b:
+            block[rows:] = 0.0
+        np.matmul(block, weights, out=out[i : i + b])
+    return out[:count]
+
+
+def _stacked(t_re, t_im, x_re, x_im, count):
+    """Rows of `windowed_dot` for a stack of G > 1 tapsets, taps already in convolve order."""
+    g = t_re.shape[0]
+    # column p of weights is tapset p reversed; the imaginary parts follow the real ones
+    weights = np.ascontiguousarray((t_re if t_im is None else np.concatenate([t_re, t_im]))
+                                   [:, ::-1]).T
+    re = _blocked(x_re, weights, count)
+    out = re[:, :g].astype(np.complex128)
+    if t_im is not None:
+        out.imag += re[:, g:]
+    if x_im is not None:
+        im = _blocked(x_im, weights, count)
+        out.imag += im[:, :g]
+        if t_im is not None:
+            out.real -= im[:, g:]
+    return out.T
+
+
 def windowed_dot(taps, x, start, count, stride):
     """Direct evaluation of out[i] = sum_u taps[u] * x[start + i - stride*u].
 
     stride +1 consumes present-and-past samples (causal direction), stride -1
-    present-and-future samples (anticausal direction).  Returns complex128.
+    present-and-future samples (anticausal direction).  Returns complex128:
+    shape (count,) for one tapset, (G, count) for a (G, m) stack, row g
+    computed with taps[g].
     """
-    lo, hi = check_window(len(taps), len(x), start, count, stride)
+    taps = np.asarray(taps)
+    if taps.ndim not in (1, 2) or taps.ndim == 2 and taps.shape[0] < 1:
+        raise ParameterError(f"taps must be one tapset or a non-empty stack of them, "
+                             f"got shape {taps.shape}")
+    if taps.ndim == 2 and taps.shape[0] == 1:
+        return windowed_dot(taps[0], x, start, count, stride)[None, :]
+    lo, hi = check_window(taps.shape[-1], len(x), start, count, stride)
     if stride == -1:
-        taps = taps[::-1]
+        taps = taps[..., ::-1]
     t_re, t_im = _real_parts(taps)
     x_re, x_im = _real_parts(x[lo : hi + 1])
+    if taps.ndim == 2:
+        return _stacked(t_re, t_im, x_re, x_im, count)
     out = np.convolve(x_re, t_re, "valid").astype(np.complex128)
     if t_im is not None:
         out.imag += np.convolve(x_re, t_im, "valid")

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ParameterError
 from .extended import forecast_from_spectrum, words_needed
 from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
-from .predictor import PredictionRun, error_report, forecast, interior_window, target
+from .predictor import (PredictionRun, error_report, forecast, forecast_stack, interior_window,
+                        target)
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
                       ideal_filter_split, noisy_spectrum)
 from .spectral import Signal, grid_omegas, norm, spectrum_l2
@@ -154,7 +155,9 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     """Score the same signal against predictors along a damping sweep.
 
     Rows come back in input gamma order.  The target and the transfer grid
-    do not depend on gamma, so each is computed once.
+    do not depend on gamma, so each is computed once.  The taps of every
+    gamma are built first, in order, so the first gamma that cannot be
+    built raises; then one `forecast_stack` call scores them all.
     """
     if sigspec.mode != mode:
         raise ParameterError(
@@ -164,15 +167,18 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     l2x = spectrum_l2(x, n)
     t_a, t_b = interior_window(x, m, kernel.a)
     grid = TransferGrid(kernel, omega, n)
-    rows = []
-    y = None
+    sweep, tapsets = [], []
     for gamma in gammas:
-        params = PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode)
-        run = PredictionRun(x, kernel, params, t_a, t_b)
-        if y is None:
-            y = target(run)
-        rep = error_report(y, forecast(run, causal_kernel(kernel, params, grid)), l2x)
-        rows.append(GammaSweepRow(float(gamma), rep.abs_l2, rep.abs_linf,
+        sweep.append(PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode))
+        tapsets.append(causal_kernel(kernel, sweep[-1], grid))
+    if not sweep:
+        return []
+    run = PredictionRun(x, kernel, sweep[0], t_a, t_b)
+    y = target(run)
+    rows = []
+    for params, yhat in zip(sweep, forecast_stack(run, tapsets)):
+        rep = error_report(y, yhat, l2x)
+        rows.append(GammaSweepRow(params.gamma, rep.abs_l2, rep.abs_linf,
                                   rep.rel_l2_vs_l2x, rep.rel_linf_vs_l2x))
     return rows
 

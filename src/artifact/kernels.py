@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalityLeakError, GridSizeError, ParameterError, SaturationError
-from .spectral import Signal, SpectrumGrid, _checked_grid_size, half_omegas, mirror_half
+from .spectral import Signal, SpectrumGrid, _checked_grid_size, mirror_half, unit_circle_half
 
 # Relative l2 mass tolerated at negative time indices when inverting Khat on
 # a finite grid; above this the grid is considered too small for the gamma.
@@ -148,7 +148,7 @@ def alpha(a: float, omega: float) -> float:
 
 def k_transfer(kernel: FirstOrderKernel, n: int) -> SpectrumGrid:
     """Target transfer K on the grid; the two-parameter form uses 1 + c/(z+a)."""
-    z = np.exp(1j * half_omegas(n))
+    z = unit_circle_half(n)
     base = 1.0 / (z + kernel.a)
     half = base if kernel.b is None else 1.0 + kernel.c * base
     return SpectrumGrid(n, mirror_half(half))
@@ -176,7 +176,7 @@ def anticausal_kernel(kernel: FirstOrderKernel, t_min: int) -> Signal:
 
 def _direction(a: float, alpha_: float, n: int) -> np.ndarray:
     """Exponent direction s*(z+a)/(z+alpha), s = sign(a+alpha), on half_omegas(n)."""
-    z = np.exp(1j * half_omegas(n))
+    z = unit_circle_half(n)
     s = 1.0 if a + alpha_ > 0 else -1.0
     return s * (z + a) / (z + alpha_)
 

@@ -4,7 +4,10 @@ The target y(t) looks only forward (anticausal convolution, truncated at a
 documented geometric tail) and the forecast yhat(t) looks only backward
 (causal taps over the last M samples).  Every sum in this module is a direct
 sum through `windowed_dot`; no transform shortcut touches the scoring path,
-so causality can be audited sample by sample.
+so causality can be audited sample by sample.  `forecast_stack` scores one
+run against a stack of tapsets (a damping sweep) in a single engine call,
+which reads each input window once for the whole stack; see `_engine` for
+the block rule that keeps every output independent of the window's length.
 """
 
 from __future__ import annotations
@@ -112,13 +115,28 @@ def forecast(run: PredictionRun, taps: Signal | None = None) -> Signal:
     Reads only samples at times <= t; changing the input at any later time
     cannot change yhat(t), bit for bit.  taps, when given, must be
     causal_kernel(run.kernel, run.params), computed once for several runs.
+    This is `forecast_stack` for a stack of one.
     """
     if taps is None:
         taps = causal_kernel(run.kernel, run.params)
-    taps = np.ascontiguousarray(taps.values)
+    return forecast_stack(run, [taps])[0]
+
+
+def forecast_stack(run: PredictionRun, tapsets) -> list[Signal]:
+    """`forecast` of one run for each of several tapsets, in one engine call.
+
+    Every tapset holds M causal taps for run's signal and window (for
+    instance causal_kernel at each gamma of a sweep).  The engine reads each
+    input window once for the whole stack (a stack of one goes through
+    `np.convolve`), and for any stack an output depends only on the samples
+    at times <= t, bit for bit.
+    """
+    if not tapsets:
+        return []
+    stack = np.stack([taps.values for taps in tapsets])
     start_pos = run.eval_start - run.x.start_index
-    vals = windowed_dot(taps, run.x.values, start_pos, run.window_length, +1)
-    return Signal(run.eval_start, vals)
+    rows = windowed_dot(stack, run.x.values, start_pos, run.window_length, +1)
+    return [Signal(run.eval_start, vals) for vals in rows]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +91,14 @@ def grid_omegas(n: int) -> np.ndarray:
 def half_omegas(n: int) -> np.ndarray:
     """The angles 2*pi*k/n, k = 0 .. n/2: grid bins n/2 .. n-1, then +pi."""
     return 2.0 * np.pi * np.arange(_checked_grid_size(n) // 2 + 1) / n
+
+
+@lru_cache(maxsize=4)
+def unit_circle_half(n: int) -> np.ndarray:
+    """exp(1j * half_omegas(n)), computed once per n and returned read-only."""
+    z = np.exp(1j * half_omegas(n))
+    z.flags.writeable = False
+    return z
 
 
 def mirror_half(half: np.ndarray) -> np.ndarray:

@@ -7,27 +7,39 @@ import pytest
 
 from artifact import (
     BandSignalSpec,
+    CausalityLeakError,
     FirstOrderKernel,
     InsufficientDataError,
     InternalConsistencyError,
     NoisySpectrumSpec,
     ParameterError,
+    PredictionRun,
+    PredictorParams,
+    SaturationError,
     Signal,
     SpectrumGrid,
+    TransferGrid,
     alpha,
     anticausal_tail_len,
     budget,
+    causal_kernel,
     corollary_split_experiment,
+    error_report,
+    forecast,
     gamma_sweep,
     gen_band_signal,
     grid_omegas,
+    interior_window,
     inverse_grid,
     k_transfer,
     khat_sup_norm,
     noise_sweep,
     noisy_spectrum,
+    norm,
     nu_i3_closed_form,
     psi,
+    spectrum_l2,
+    target,
 )
 
 PI = math.pi
@@ -104,6 +116,52 @@ def test_gamma_sweep_preserves_input_order():
                        BandSignalSpec(omega=PI / 3, mode="low", length=512, seed=3),
                        [-4.0, -1.0, -2.0], 1024, 128)
     assert [r.gamma for r in rows] == [-4.0, -1.0, -2.0]
+
+
+def test_gamma_sweep_matches_per_gamma_scoring():
+    # one stacked engine call against one forecast per gamma; m = 1024 puts
+    # 16 windows in a block, so the 2,943 outputs span many full blocks and
+    # a padded last one.  Rows are compared where they are trusted: their
+    # float64 roundoff floor 2**-53 * ||khat||_1 * ||x||_inf is below 1e-12
+    # of the sup error (gamma = -1 .. -8 here, not -16)
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 8192, 1024
+    spec = BandSignalSpec(omega=omega, mode="low", length=4008, seed=13)
+    gammas = [-1.0, -2.0, -4.0, -8.0, -16.0]
+    rows = gamma_sweep(kernel, omega, "low", spec, gammas, n, m)
+    x = gen_band_signal(spec, n)
+    t_a, t_b = interior_window(x, m, kernel.a)
+    grid = TransferGrid(kernel, omega, n)
+    trusted = []
+    for gamma, row in zip(gammas, rows):
+        params = PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode="low")
+        taps = causal_kernel(kernel, params, grid)
+        run = PredictionRun(x, kernel, params, t_a, t_b)
+        rep = error_report(target(run), forecast(run, taps), spectrum_l2(x, n))
+        assert row.gamma == gamma
+        if 2.0 ** -53 * norm(taps, "l1") * norm(x, "linf") > 1e-12 * rep.abs_linf:
+            continue
+        trusted.append(gamma)
+        for got, want in ((row.abs_l2, rep.abs_l2), (row.abs_linf, rep.abs_linf),
+                          (row.rel_l2, rep.rel_l2_vs_l2x), (row.rel_linf, rep.rel_linf_vs_l2x)):
+            assert abs(got - want) <= 1e-12 * abs(want), (gamma, got, want)
+    assert trusted == gammas[:4]
+
+
+@pytest.mark.parametrize("gammas, error", [
+    ([-1.0, -4.0, -2048.0, -128.0], SaturationError),
+    ([-1.0, -4.0, -128.0, -2048.0], CausalityLeakError),
+])
+def test_gamma_sweep_raises_for_the_first_failing_gamma(gammas, error):
+    # at n = 256 gamma = -128 leaks onto negative times and -2048 saturates;
+    # the sweep reports the third gamma, with the message its taps raise
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 256, 32
+    params = PredictorParams(omega=omega, gamma=gammas[2], n=n, m=m, mode="low")
+    with pytest.raises(error) as want:
+        causal_kernel(kernel, params)
+    with pytest.raises(error) as got:
+        gamma_sweep(kernel, omega, "low", BandSignalSpec(omega=omega, mode="low", length=256,
+                                                         seed=3), gammas, n, m)
+    assert str(got.value) == str(want.value)
 
 
 def test_gamma_sweep_mode_mismatch():

@@ -21,12 +21,13 @@ from artifact import (
     dtft_on_grid,
     error_report,
     forecast,
+    forecast_stack,
     gen_band_signal,
     interior_window,
     lq_grid_norm,
     target,
 )
-from artifact._engine import windowed_dot
+from artifact._engine import block_rows, windowed_dot
 
 PI = math.pi
 
@@ -127,6 +128,30 @@ def test_forecast_reads_only_past():
     assert np.array_equal(again.values, ref.values[: probe - run.eval_start + 1])
 
 
+def test_forecast_stack_reads_only_past():
+    # the stacked twin: m = 1024 makes blocks of 16 windows, and cutting the
+    # window moves the last block's padding, so an output that depended on
+    # the number of outputs computed (a block size taken from count) would
+    # change its bits below
+    rng = np.random.default_rng(29)
+    x = Signal(0, rng.standard_normal(2100))
+    kern = FirstOrderKernel(2.0)
+    sweep = [PredictorParams(omega=PI / 3, gamma=g, n=4096, m=1024, mode="low")
+             for g in (-1.0, -4.0, -8.0)]
+    tapsets = [causal_kernel(kern, p) for p in sweep]
+    t_a, t_b = interior_window(x, 1024, kern.a)
+    ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
+    assert block_rows(1024) == 16 and len(ref) == 3 and len(ref[0]) > 16 * 60
+    for probe in (t_a, t_a + 5, t_a + 15, t_a + 16, t_a + 100, t_a + 517, t_b - 1):
+        mutated = x.values.copy()
+        mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
+        for stop in (probe, t_b):  # cut the window at the probe, or keep it whole
+            run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
+            for again, want in zip(forecast_stack(run, tapsets), ref):
+                assert np.array_equal(again.values[: probe - t_a + 1],
+                                      want.values[: probe - t_a + 1]), (probe, stop)
+
+
 def test_prediction_error_shrinks_with_damping():
     x = gen_band_signal(BandSignalSpec(omega=PI / 3, mode="low", length=1024, seed=3), 2048)
     errs = []
@@ -196,6 +221,15 @@ def test_engine_wrapper_validates_bounds():
         windowed_dot(taps, x, 3, 0, 1)
     with pytest.raises(ParameterError):
         windowed_dot(np.ones(0, dtype=complex), x, 3, 2, 1)
+    stack = np.ones((3, 4), dtype=complex)
+    for stride in (0, 2):
+        with pytest.raises(ParameterError, match="stride"):
+            windowed_dot(stack, x, 5, 3, stride)
+    with pytest.raises(ParameterError):
+        windowed_dot(stack, x, 2, 5, +1)  # reads x[-1]
+    for shape in ((0, 4), (2, 2, 4), ()):
+        with pytest.raises(ParameterError, match="tapset"):
+            windowed_dot(np.ones(shape, dtype=complex), x, 5, 3, 1)
 
 
 def _definition(taps, x, start, count, stride):
@@ -249,6 +283,32 @@ def test_windowed_dot_matches_definition():
         got = part(windowed_dot(taps, x, 10, 20, 1))
         want = part(_definition(taps, x, 10, 20, 1))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # stacks of G tapsets: one row per tapset, count below, at and above the
+    # block of b = 16 windows that m = 1024 gets, and past two blocks; every
+    # G meets each pair of parts and both strides
+    m = 1024
+    b = block_rows(m)
+    size = m + 2 * b + 8
+    parts = ((True, True), (False, False), (False, True), (True, False))
+    for g_count, g in enumerate((2, 3, 9)):
+        for k, count in enumerate((b - 1, b, b + 1, 2 * b + 3)):
+            taps_complex, x_complex = parts[(g_count + k) % 4]
+            stride = 1 if k % 2 == 0 else -1
+            start = m - 1 if stride == 1 else 0
+            taps = np.stack([draw(m, taps_complex) for _ in range(g)])
+            x = draw(size, x_complex)
+            got = windowed_dot(taps, x, start, count, stride)
+            assert got.dtype == np.complex128 and got.shape == (g, count)
+            for row, tapset in zip(got, taps):
+                want = _definition(tapset, x, start, count, stride)
+                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (
+                    g, count, taps_complex, x_complex, stride)
+    # a stack of one is the single tapset's row, bit for bit
+    taps = draw(m, True)
+    x = draw(size, True)
+    assert np.array_equal(windowed_dot(taps[None, :], x, m - 1, b + 1, 1),
+                          windowed_dot(taps, x, m - 1, b + 1, 1)[None, :])
 
 
 def test_interior_window_bounds_and_shortfall():
