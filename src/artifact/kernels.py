@@ -32,8 +32,16 @@ alpha, K, V and Khat are Hermitian, so their values on omega_k = 2*pi*k/n,
 k = 0 .. n/2, define them, np.fft.irfft gives the real period of Khat, and
 k_transfer, v_transfer and predictor_transfer mirror them onto the grid.  A
 TransferGrid holds alpha, K and the exponent direction s*(z+a)/(z+alpha) for
-one (kernel, omega, n); a sweep builds it once, and each gamma then costs
-one complex exp on those bins and one irfft.
+one (kernel, omega, n); a sweep builds it once, and each gamma then costs one
+irfft and the damping factor by the power rule below.
+
+Power rule.  exp(2*gamma*d) = exp(gamma*d)**2, so with gamma = q * 2**k, k
+the largest k >= 0 for which gamma / 2**k is an integer, exp(gamma*d) is
+E_q = exp(q*d) squared k times.  k is 0 for an odd, zero or non-integer
+gamma, which keeps one direct complex exp.  The grid keeps its last power
+and squares it forward when the next gamma has the same q and a k at least
+as large, so an ascending doubling ladder costs one exp per sweep.  The bits
+depend on gamma alone, never on which other gammas share the grid.
 """
 
 from __future__ import annotations
@@ -181,26 +189,63 @@ def _direction(a: float, alpha_: float, n: int) -> np.ndarray:
     return s * (z + a) / (z + alpha_)
 
 
-def _damping(direction: np.ndarray, gamma: float, out=None) -> np.ndarray:
-    """V = 1 - exp(gamma * direction) on the half-spectrum bins of `direction`, into `out`."""
-    expo = np.multiply(direction, gamma, out=out)
-    # Re(expo) is even, and reversed these are the grid's bins 0 .. n/2: j is its first maximum
-    j = int(np.argmax(expo.real[::-1]))
-    worst = expo.real[-1 - j]
+def _power_split(gamma: float) -> tuple[float, int]:
+    """(q, k) with gamma = q * 2**k, k the largest k >= 0 for which gamma / 2**k is an integer.
+
+    k is 0 for an odd or non-integer gamma and for gamma = +-0.
+    """
+    q, k = gamma, 0
+    while q != 0.0 and q % 2.0 == 0.0:
+        q, k = q / 2.0, k + 1
+    return q, k
+
+
+def _check_exponent(direction: np.ndarray, gamma: float, scratch=None) -> None:
+    """Refuse gamma when gamma * Re(direction) passes EXP_GUARD on some bin."""
+    expo = np.multiply(direction.real, gamma, out=scratch)
+    # expo is even, and reversed these are the grid's bins 0 .. n/2: j is its first maximum
+    j = int(np.argmax(expo[::-1]))
+    worst = expo[-1 - j]
     if worst > EXP_GUARD:
         raise SaturationError(
             f"damping exponent real part {worst:.1f} exceeds {EXP_GUARD:.0f} at omega="
             f"{2.0 * np.pi * (j + 1 - direction.size) / (2 * direction.size - 2):.6f} (bin {j}); "
             f"kernel magnitudes would overflow double precision"
         )
-    return np.subtract(1.0, np.exp(expo, out=expo), out=expo)
+
+
+class _Power:
+    """exp(gamma * direction) by the power rule (module docstring), keeping the last (q, k, E).
+
+    The guard runs before any exp.  On each bin the moduli of the squares run
+    monotonically from |E_q| to the final |E| <= e**700, so none overflows.
+    """
+
+    def __init__(self, direction: np.ndarray):
+        self.direction = direction
+        self.values = np.empty_like(direction)
+        self.q, self.k = None, 0
+
+    def exp(self, gamma: float, scratch=None) -> np.ndarray:
+        """exp(gamma * direction); the array is overwritten by the next call."""
+        _check_exponent(self.direction, gamma, scratch)
+        q, k = _power_split(gamma)
+        e = self.values
+        if q != self.q or k < self.k:
+            np.exp(np.multiply(self.direction, q, out=e), out=e)
+            self.q, self.k = q, 0
+        for _ in range(k - self.k):
+            np.multiply(e, e, out=e)
+        self.k = k
+        return e
 
 
 def v_transfer(a: float, alpha_: float, gamma: float, n: int) -> SpectrumGrid:
     """Damping factor V = 1 - exp(gamma * sign(a+alpha) * (z+a)/(z+alpha)) bin-wise."""
     if not abs(alpha_) < 1.0:
         raise ParameterError(f"|alpha| must be < 1, got {alpha_}")
-    return SpectrumGrid(n, mirror_half(_damping(_direction(float(a), alpha_, n), gamma)))
+    e = _Power(_direction(float(a), alpha_, n)).exp(gamma)
+    return SpectrumGrid(n, mirror_half(np.subtract(1.0, e, out=e)))
 
 
 def psi(a: float, alpha_: float, omega):
@@ -235,7 +280,9 @@ class TransferGrid:
     For one (kernel, omega, n): alpha, and K and the exponent direction
     s*(z+a)/(z+alpha) on the bins omega_k = 2*pi*k/n, k = 0 .. n/2
     (spectral.half_omegas).  K is read back from one k_transfer call: its
-    grid bins n/2 .. n-1, then the conjugate of its bin at -pi.
+    grid bins n/2 .. n-1, then the conjugate of its bin at -pi.  The grid
+    keeps the last damping power, so damping(gamma) and the invert(gamma)
+    that follows share one exp, as do the gammas of a doubling ladder.
     """
 
     def __init__(self, kernel: FirstOrderKernel, omega: float, n: int):
@@ -246,13 +293,17 @@ class TransferGrid:
         self.k = np.concatenate([k[self.n // 2:], np.conj(k[:1])])
         self.alpha = alpha(kernel.a, self.omega)
         self.direction = _direction(kernel.a, self.alpha, self.n)
+        self._power = _Power(self.direction)
         # invert works in place here: with fresh temporaries per gamma, glibc
         # trimmed and refaulted the heap every gamma in some heap layouts
         self._work = np.empty_like(self.direction)
 
+    def _exp(self, gamma: float) -> np.ndarray:
+        return self._power.exp(gamma, self._work.view(float)[: self.direction.size])
+
     def damping(self, gamma: float) -> np.ndarray:
         """V at gamma on the half-spectrum bins; refused past EXP_GUARD."""
-        return _damping(self.direction, gamma)
+        return np.subtract(1.0, self._exp(gamma))
 
     def invert(self, gamma: float):
         """Real period khat(0) .. khat(n-1) of Khat at gamma, and its leak ratio.
@@ -260,7 +311,8 @@ class TransferGrid:
         Entries n/2 .. n-1 of the period stand for t - n < 0; the leak ratio
         is their l2 mass relative to the whole period.
         """
-        khat = np.multiply(_damping(self.direction, gamma, self._work), self.k, out=self._work)
+        v = np.subtract(1.0, self._exp(gamma), out=self._work)
+        khat = np.multiply(v, self.k, out=self._work)
         period = np.fft.irfft(khat, self.n)
         peak = max(float(period.max()), -float(period.min()))
         if peak == 0.0:  # gamma = 0 gives the zero kernel

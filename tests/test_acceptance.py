@@ -24,8 +24,8 @@ recomputations.
   than the 100x an earlier version of the clause asked for.  Its second
   clause, a strictly falling tail, holds in exact arithmetic.  gamma_sweep
   scores in float64, where the taps reach 4.3e60 (low) and 2.7e109 (high),
-  so the last points are roundoff, about 7.1e-2, 1.8e14, 1.41e45 (low) and
-  8.1e10, 4.9e38, 2.16e94 (high); these figures vary with the transfer's
+  so the last points are roundoff, about 7.1e-2, 1.9e14, 1.37e45 (low) and
+  8.2e10, 5.0e38, 2.20e94 (high); these figures vary with the transfer's
   last bits, the convolution engine and the CPU's BLAS kernel.  Honest rows
   need about 80-130 digits at n = 32768, m = 4096, which gamma_sweep does not
   yet afford.

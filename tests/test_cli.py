@@ -428,3 +428,23 @@ def test_one_k_evaluation_per_job(tmp_path, monkeypatch, argv):
             monkeypatch.setattr(module, "k_transfer", counting_k_transfer)
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gamma", ["-6", "-5.5"])
+def test_one_damping_exp_per_kernel_job(tmp_path, monkeypatch, gamma):
+    # the dump's V and the V the taps are built from share one complex exp
+    # on the n/2+1 = 513 half-spectrum bins
+    from artifact.spectral import unit_circle_half
+
+    unit_circle_half(1024)  # the cached exp(i*omega), built before counting
+    exp = np.exp
+    sizes = []
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    assert main([*KERNEL_ARGS, "--a", "2", "--gamma", gamma,
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert sizes.count(513) == 1

@@ -25,6 +25,8 @@ from artifact import (
     tap_l1_tail,
     v_transfer,
 )
+from artifact.extended import _cexp, _constants, _fixed
+from artifact.kernels import EXP_GUARD, _Power, _power_split
 
 PI = math.pi
 
@@ -415,3 +417,97 @@ def test_transfer_grid_reads_the_half_back():
     assert grid.k.size == 513 and grid.alpha == alpha(2.0, PI / 3)
     assert np.array_equal(grid.k[:512], k[512:])
     assert np.array_equal(grid.k[512], np.conj(k[0]))
+
+
+# ------------------------------------------- damping by the power rule
+
+def test_power_split():
+    assert _power_split(-256.0) == (-1.0, 8)
+    assert _power_split(96.0) == (3.0, 5)
+    assert _power_split(-6.0) == (-3.0, 1)
+    assert _power_split(7.0) == (7.0, 0)
+    assert _power_split(-12.5) == (-12.5, 0)
+    assert _power_split(-0.0) == (-0.0, 0)
+
+
+# fixed-point reference: 160 fractional bits, far below float64 rounding
+_FRAC = 160
+
+
+def _reference_exp(direction, gamma, shift):
+    """exp(gamma * direction) * 2**-shift per bin in fixed point, direction read exactly."""
+    consts = _constants(_FRAC)
+    g = int(gamma)
+    re = np.array([g * v - s * consts[1] for v, s in
+                   zip(_fixed(direction.real, _FRAC).tolist(), shift.tolist())], dtype=object)
+    im = np.array([g * v for v in _fixed(direction.imag, _FRAC).tolist()], dtype=object)
+    er, ei = _cexp(re, im, _FRAC, consts)
+    one = 1 << _FRAC
+    return np.array([complex(u / one, w / one) for u, w in zip(er.tolist(), ei.tolist())])
+
+
+@pytest.mark.parametrize("n", [1024, 32768])
+@pytest.mark.parametrize("a", [2.0, -2.0, 1.05])
+def test_power_rule_matches_fixed_point_exp(a, n):
+    # E = exp(q d) squared k times carries a relative error of about
+    # (2**k + |gamma d|) * 2**-53: 2**k from the squarings, |gamma d| from
+    # rounding q * d; measured at most 1.81 times that on these bins
+    d = TransferGrid(FirstOrderKernel(a), PI / 3, n).direction
+    bins = np.unique(np.r_[np.arange(0, d.size, d.size // 128), d.size - 1,
+                           np.argmax(d.real), np.argmin(d.real)])
+    gammas = [s * 2.0 ** j for s in (1.0, -1.0) for j in range(9)] + [-6.0, -96.0, 3 * 2.0 ** 5]
+    checked = 0
+    for gamma in gammas:
+        if np.max(gamma * d.real) > EXP_GUARD:
+            continue
+        _, k = _power_split(gamma)
+        expo = gamma * d[bins]
+        # compare at |E| ~ 1: scale by 2**-shift, exact in float64 above e**-700
+        shift = np.round(expo.real / math.log(2.0)).astype(int)
+        got = _Power(d).exp(gamma)[bins]
+        got = np.ldexp(got.real, -shift) + 1j * np.ldexp(got.imag, -shift)
+        ref = _reference_exp(d[bins], gamma, shift)
+        live = expo.real >= -EXP_GUARD
+        bound = 4.0 * (2.0 ** k + np.abs(expo)) * 2.0 ** -53 * np.abs(ref)
+        assert np.all(np.abs(got - ref)[live] <= bound[live]), (a, n, gamma)
+        checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("kern, mode", [(FirstOrderKernel(2.0), "low"),
+                                        (FirstOrderKernel(-2.0, 0.5), "high")])
+def test_ladder_order_does_not_change_the_taps(kern, mode):
+    # ascending squares the kept power forward; descending and shuffled
+    # ladders recompute it; every order gives a fresh grid's bits
+    sign = -1.0 if mode == "low" else 1.0
+    ladder = [sign * g for g in (1.0, 2.0, 4.0, 6.0, 8.0, 16.0, 5.5, 32.0, 64.0, 96.0, 128.0)]
+    fresh = {g: TransferGrid(kern, PI / 3, 1024) for g in ladder}
+    want = {g: fresh[g].invert(g) for g in ladder}
+    for order in (sorted(ladder, key=abs), sorted(ladder, key=abs, reverse=True),
+                  [ladder[i] for i in np.random.default_rng(7).permutation(len(ladder))]):
+        grid = TransferGrid(kern, PI / 3, 1024)
+        for gamma in order:
+            assert np.array_equal(grid.damping(gamma), fresh[gamma].damping(gamma)), gamma
+            period, leak = grid.invert(gamma)
+            assert np.array_equal(period, want[gamma][0]) and leak == want[gamma][1], gamma
+
+
+def test_negative_zero_gamma_gives_zero_v():
+    al = alpha(2.0, PI / 3)
+    assert np.max(np.abs(v_transfer(2.0, al, -0.0, 32).values)) == 0.0
+    grid = TransferGrid(FirstOrderKernel(2.0), PI / 3, 32)
+    grid.damping(-4.0)
+    assert np.max(np.abs(grid.damping(-0.0))) == 0.0
+
+
+def test_saturation_is_refused_before_any_squaring():
+    grid = TransferGrid(FirstOrderKernel(2.0), PI / 3, 256)
+    grid.damping(-1024.0)  # keeps exp(-d) squared 10 times, 1024 * 5/9 < 700
+    kept = grid._power.values.copy()
+    message = ("damping exponent real part 1137.8 exceeds 700 at omega=-3.141593 (bin 0); "
+               "kernel magnitudes would overflow double precision")
+    with pytest.raises(SaturationError) as err:
+        grid.damping(-2048.0)
+    assert str(err.value) == message
+    assert (grid._power.q, grid._power.k) == (-1.0, 10)
+    assert np.array_equal(grid._power.values, kept)

@@ -27,7 +27,7 @@ from artifact import (
     lq_grid_norm,
     target,
 )
-from artifact._engine import block_rows, windowed_dot
+from artifact._engine import block_rows, group_width, windowed_dot
 
 PI = math.pi
 
@@ -150,6 +150,24 @@ def test_forecast_stack_reads_only_past():
             for again, want in zip(forecast_stack(run, tapsets), ref):
                 assert np.array_equal(again.values[: probe - t_a + 1],
                                       want.values[: probe - t_a + 1]), (probe, stop)
+    # stacks wider than one product: m = 4096 takes group_width = 15 tapsets
+    # per matmul, so 16, 17 and 31 tapsets run in two and three groups
+    assert group_width(4096) == 15
+    x = Signal(0, rng.standard_normal(4096 + 300))
+    t_a, t_b = interior_window(x, 4096, kern.a)
+    for width in (16, 17, 31):
+        sweep = [PredictorParams(omega=PI / 3, gamma=-1.0 - 0.5 * i, n=8192, m=4096, mode="low")
+                 for i in range(width)]
+        tapsets = [causal_kernel(kern, p) for p in sweep]
+        ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
+        for probe in (t_a, t_a + 15, t_a + 16, t_a + 100, t_b - 1):
+            mutated = x.values.copy()
+            mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
+            for stop in (probe, t_b):
+                run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
+                for again, want in zip(forecast_stack(run, tapsets), ref):
+                    assert np.array_equal(again.values[: probe - t_a + 1],
+                                          want.values[: probe - t_a + 1]), (width, probe, stop)
 
 
 def test_prediction_error_shrinks_with_damping():
@@ -302,6 +320,28 @@ def test_windowed_dot_matches_definition():
             assert got.dtype == np.complex128 and got.shape == (g, count)
             for row, tapset in zip(got, taps):
                 want = _definition(tapset, x, start, count, stride)
+                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (
+                    g, count, taps_complex, x_complex, stride)
+    # stacks wider than one product at m = 4096: group_width(4096) = 15
+    # columns per matmul, so these take two to five groups
+    m = 4096
+    b = block_rows(m)
+    assert group_width(m) == 15
+    size = m + 2 * b + 8
+    lags = np.arange(m)
+    for g_count, g in enumerate((16, 17, 31)):
+        for k, count in enumerate((b - 1, b, b + 1, 2 * b + 3)):
+            taps_complex, x_complex = parts[(g_count + k) % 4]
+            stride = 1 if k % 2 == 0 else -1
+            start = m - 1 if stride == 1 else 0
+            taps = np.stack([draw(m, taps_complex) for _ in range(g)])
+            x = draw(size, x_complex)
+            got = windowed_dot(taps, x, start, count, stride)
+            assert got.dtype == np.complex128 and got.shape == (g, count)
+            # the definition as one sum per output: x[start + i - stride*u] @ taps[u]
+            window = x[start + np.arange(count)[:, None] - stride * lags]
+            for row, tapset in zip(got, taps):
+                want = window @ tapset
                 assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (
                     g, count, taps_complex, x_complex, stride)
     # a stack of one is the single tapset's row, bit for bit

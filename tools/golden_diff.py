@@ -1,6 +1,6 @@
 """Distance of fresh golden runs from the committed goldens, row by row.
 
-    python3 tools/golden_diff.py [SRC]
+    python3 tools/golden_diff.py [--cells] [SRC]
 
 Runs the three golden argvs of tests/test_acceptance.py (`sweep-gamma` low
 and high, `sweep-noise`) through `artifact.cli.main` in process, importing
@@ -8,8 +8,11 @@ and high, `sweep-noise`) through `artifact.cli.main` in process, importing
 output with `tests/goldens/` of this checkout.  Prints one line per row: the
 file, the row's first cell (gamma or nu) and the largest
 |new - golden| / max(1, |golden|) over the row's cells, the distance that
-test_10 holds to 1e-9.  Exits 1 when a row is past 1e-9, or when a run fails
-or its column header or row count differs from the golden.
+test_10 holds to 1e-9.  With --cells it prints instead each cell past 1e-9
+as `file row column old -> new`, the row named by its first cell and both
+values as written.  Exits 1 when a row is past 1e-9, or when a run fails or
+its column header or row count differs from the golden.  Nothing is written
+outside a temporary directory.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ TOL = 1e-9
 
 
 def _table(text: str):
-    """The column header line and the rows of a CSV output, '#' lines skipped."""
+    """The column header line and the rows of a CSV output as text cells, '#' lines skipped."""
     lines = [line for line in text.splitlines() if not line.startswith("#")]
-    return lines[0], [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return lines[0], [line.split(",") for line in lines[1:]]
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    cells = "--cells" in args
+    args = [arg for arg in args if arg != "--cells"]
     src = Path(args[0]).resolve() if args else ROOT / "src"
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.path.insert(0, str(src))
@@ -55,10 +60,17 @@ def main(argv=None) -> int:
                 print(f"{name} exit={code} header or row count differs from the golden")
                 failed = True
                 continue
+            columns = header.split(",")
             for row, golden in zip(got, want):
-                dist = max(abs(v - g) / max(1.0, abs(g)) for v, g in zip(row, golden))
-                failed |= not dist <= TOL
-                print(f"{name} {golden[0]:g} {dist:.3e}")
+                dists = [abs(float(v) - float(g)) / max(1.0, abs(float(g)))
+                         for v, g in zip(row, golden)]
+                failed |= not max(dists) <= TOL
+                if not cells:
+                    print(f"{name} {float(golden[0]):g} {max(dists):.3e}")
+                    continue
+                for column, v, g, dist in zip(columns, row, golden, dists):
+                    if not dist <= TOL:
+                        print(f"{name} {float(golden[0]):g} {column} {g} -> {v}")
     return 1 if failed else 0
 
 
