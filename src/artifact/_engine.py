@@ -2,23 +2,26 @@
 
 `windowed_dot` slices exactly the input samples a window may read and
 evaluates each output as its own dot product on real float64 arrays, so no
-output can depend on a sample outside its own span.  Complex operands are
-split into real and imaginary parts; a part that is identically zero is
-skipped, a tiny but nonzero one is kept.
+output can depend on a sample outside its own span.  The taps are one
+tapset of m taps or a stack of G tapsets, shape (G, m), all read against
+the same input windows; one tapset is a stack of one.  Complex operands are
+split once into real and imaginary parts, and a part that is identically
+zero is skipped (a tiny but nonzero one is kept): the imaginary taps become
+G more rows of one real stack, the product runs once per part of the input,
+and the parts are recombined in one place.
 
-The taps are one tapset of m taps or a stack of G tapsets, shape (G, m),
-all read against the same input windows.  One tapset, or a stack of one,
-goes through `np.convolve` over the exact window.  A stack of several reads
-each input window once for all G tapsets: fixed blocks of b consecutive
-windows are copied into one reused (b, m) buffer, the last block padded with
-zero rows, and each block is multiplied by the whole stack in one
-`np.matmul`.  b = block_rows(m) depends on m only, never on the number of
-outputs, so every product has the same shape and an output's bits do not
-depend on how many outputs the call computes.  A product takes at most
-group_width(m) columns of the stack, so b * columns * m stays near 10**6:
-past that, OpenBLAS 0.3.31 leaves its small-matrix kernel.  On a 2-CPU
-x86-64 host, 16 tapsets at m = 4096 over 4056 outputs took 37-47 ms as one
-product and 29-36 ms in groups of 15 and 1.
+`real_rows` is the one real product under every direct sum, this one and
+`extended.exact_causal_sum`'s limb sum alike.  One row goes through
+`np.convolve` over the exact window.  Several rows read each input window
+once for all of them: fixed blocks of b consecutive windows are copied into
+one reused (b, m) buffer, the last block padded with zero rows, and each
+block is multiplied by the stack in one `np.matmul`.  b = block_rows(m)
+depends on m only, never on the number of outputs, so every product has the
+same shape and an output's bits do not depend on how many outputs the call
+computes.  A product takes at most group_width(m) rows of the stack, so
+b * rows * m stays near 10**6: past that, OpenBLAS 0.3.31 leaves its
+small-matrix kernel.  On a 2-CPU x86-64 host, 16 tapsets at m = 4096 over
+4056 outputs took 37-47 ms as one product and 29-36 ms in groups of 15 and 1.
 """
 
 import numpy as np
@@ -54,7 +57,7 @@ def block_rows(m):
 
 
 def group_width(m):
-    """Stack columns per product: max(1, 10**6 // (b * m)), b = block_rows(m)."""
+    """Stack rows per product: max(1, 10**6 // (b * m)), b = block_rows(m)."""
     return max(1, 10**6 // (block_rows(m) * m))
 
 
@@ -67,44 +70,29 @@ def _real_parts(values):
     return np.ascontiguousarray(values.real, dtype=np.float64), imag if imag.any() else None
 
 
-def _blocked(seg, weights, count):
-    """out[i, p] = seg[i : i + m] . weights[:, p] for i < count.
+def real_rows(seg, rows, count):
+    """out[p, i] = sum_u rows[p, u] * seg[i + m - 1 - u] for i < count, as a (P, count) array.
 
-    Each block of b windows meets the columns in groups of group_width(m),
-    one matmul per group.
+    seg holds count + m - 1 real samples and rows a (P, m) real stack.
     """
-    m, cols = weights.shape
+    p, m = rows.shape
+    if p == 1:
+        return np.convolve(seg, rows[0], "valid")[None, :]
     b, width = block_rows(m), group_width(m)
     windows = sliding_window_view(seg, m)
-    groups = [weights[:, c : c + width] for c in range(0, cols, width)]
+    # column p of weights is row p reversed, so a window times it is row p's sum
+    weights = np.ascontiguousarray(rows[:, ::-1]).T
+    groups = [weights[:, c : c + width] for c in range(0, p, width)]
     outs = [np.empty((-(-count // b) * b, group.shape[1])) for group in groups]
     block = np.zeros((b, m))
     for i in range(0, count, b):
-        rows = min(b, count - i)
-        block[:rows] = windows[i : i + rows]
-        if rows < b:
-            block[rows:] = 0.0
+        filled = min(b, count - i)
+        block[:filled] = windows[i : i + filled]
+        if filled < b:
+            block[filled:] = 0.0
         for group, out in zip(groups, outs):
             np.matmul(block, group, out=out[i : i + b])
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))[:count]
-
-
-def _stacked(t_re, t_im, x_re, x_im, count):
-    """Rows of `windowed_dot` for a stack of G > 1 tapsets, taps already in convolve order."""
-    g = t_re.shape[0]
-    # column p of weights is tapset p reversed; the imaginary parts follow the real ones
-    weights = np.ascontiguousarray((t_re if t_im is None else np.concatenate([t_re, t_im]))
-                                   [:, ::-1]).T
-    re = _blocked(x_re, weights, count)
-    out = re[:, :g].astype(np.complex128)
-    if t_im is not None:
-        out.imag += re[:, g:]
-    if x_im is not None:
-        im = _blocked(x_im, weights, count)
-        out.imag += im[:, :g]
-        if t_im is not None:
-            out.real -= im[:, g:]
-    return out.T
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))[:count].T
 
 
 def windowed_dot(taps, x, start, count, stride):
@@ -119,20 +107,20 @@ def windowed_dot(taps, x, start, count, stride):
     if taps.ndim not in (1, 2) or taps.ndim == 2 and taps.shape[0] < 1:
         raise ParameterError(f"taps must be one tapset or a non-empty stack of them, "
                              f"got shape {taps.shape}")
-    if taps.ndim == 2 and taps.shape[0] == 1:
-        return windowed_dot(taps[0], x, start, count, stride)[None, :]
     lo, hi = check_window(taps.shape[-1], len(x), start, count, stride)
-    if stride == -1:
-        taps = taps[..., ::-1]
-    t_re, t_im = _real_parts(taps)
+    stack = np.atleast_2d(taps if stride == 1 else taps[..., ::-1])
+    g = stack.shape[0]
+    t_re, t_im = _real_parts(stack)
+    # rows 0 .. g-1 hold the real taps, rows g .. 2g-1 the imaginary ones
+    rows = t_re if t_im is None else np.concatenate([t_re, t_im])
     x_re, x_im = _real_parts(x[lo : hi + 1])
-    if taps.ndim == 2:
-        return _stacked(t_re, t_im, x_re, x_im, count)
-    out = np.convolve(x_re, t_re, "valid").astype(np.complex128)
+    re = real_rows(x_re, rows, count)
+    out = re[:g].astype(np.complex128)
     if t_im is not None:
-        out.imag += np.convolve(x_re, t_im, "valid")
+        out.imag += re[g:]
     if x_im is not None:
-        out.imag += np.convolve(x_im, t_re, "valid")
+        im = real_rows(x_im, rows, count)
+        out.imag += im[:g]
         if t_im is not None:
-            out.real -= np.convolve(x_im, t_im, "valid")
-    return out
+            out.real -= im[g:]
+    return out if taps.ndim == 2 else out[0]

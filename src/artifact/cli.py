@@ -19,7 +19,8 @@ identical bytes.  Tables are built from columns and formatted in bulk: one
 %-format per CSV row, one C-encoder call per JSON table.
 Exit codes come from the error classes (see `errors`): 0 ok, 2 parameter,
 3 signal too short for the history and anticausal tail a window needs,
-4 causality leak, 5 I/O, 6 saturation, 1 anything else.
+4 causality leak, 5 I/O, 6 saturation, 1 anything else, an allocation too
+large for the machine included.
 """
 
 from __future__ import annotations
@@ -133,9 +134,7 @@ FLAGS = {
 _KERNEL_FLAGS = ("a!", "b", "omega!", "gamma!", "mode!", "n!", "m!")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
@@ -456,9 +455,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PredictionError, OSError) as exc:
+    except (PredictionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_IO)
+        return EXIT_IO if isinstance(exc, OSError) else getattr(exc, "exit_code", EXIT_OTHER)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Each class carries the CLI exit code of its errors in `exit_code`, so shell
 pipelines can tell configuration mistakes from numerical failures without
 parsing stderr.  A subclass inherits its parent's code unless it sets its
 own: every ParameterError exits 2 except InsufficientDataError, which exits
-3; the CLI maps I/O failures (OSError) to 5.
+3; the CLI maps I/O failures (OSError) to 5 and an allocation too large
+for the machine (MemoryError) to 1.
 """
 
 

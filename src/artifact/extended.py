@@ -20,9 +20,13 @@ Python integers with 53*w + GUARD_BITS fractional bits:
     direct sum  the causal sum over the last M samples, exact.
 
 The direct sum cuts each fixed-point operand into signed b-bit limbs at fixed
-bit positions (integer-valued float64 arrays).  np.convolve of two limb
-arrays is exact because M * 2**(2b) < 2**53 (Ozaki, Ogita, Oishi, Rump,
-Numer. Algorithms 59, 2012); the limb products are summed exactly in Python
+bit positions (integer-valued float64 arrays).  The tap limbs are stacked as
+the rows of one real stack and sent through the float64 engine's
+`real_rows`, once per signal limb.  Every product and partial sum of limbs
+is an integer below M * (2**b - 1)**2 < 2**53 in magnitude, so each is
+exact in any summation order (Ozaki, Ogita, Oishi, Rump, Numer. Algorithms
+59, 2012), and the engine's blocked product gives the same integers as a
+convolution per limb pair.  The limb levels are summed exactly in Python
 integers and the sum is rounded once.  Each output therefore depends only on
 the samples it reads, bit for bit.
 
@@ -35,7 +39,7 @@ import math
 
 import numpy as np
 
-from ._engine import check_window
+from ._engine import check_window, real_rows
 from .errors import ParameterError
 from .kernels import PredictorParams, alpha
 
@@ -221,14 +225,14 @@ def exact_causal_sum(taps, x, start: int, count: int, frac: int) -> np.ndarray:
     m = len(taps)
     lo, hi = check_window(m, len(x), start, count, +1)
     seg = x[lo : hi + 1]
-    # m * (2**bits - 1)**2 < 2**53 keeps every limb convolution exact
+    # m * (2**bits - 1)**2 < 2**53 keeps every limb sum exact in any order
     bits = (WORD_BITS - max(1, (m - 1).bit_length())) // 2
-    tap_limbs = _limbs(taps, bits)
+    tap_rows = np.stack(_limbs(taps, bits))
     seg_limbs = _limbs(seg, bits)
-    levels = np.zeros((len(tap_limbs) + len(seg_limbs) - 1, count), dtype=np.int64)
-    for i, tl in enumerate(tap_limbs):
-        for j, sl in enumerate(seg_limbs):
-            levels[i + j] += np.convolve(sl, tl, "valid").astype(np.int64)
+    levels = np.zeros((len(tap_rows) + len(seg_limbs) - 1, count), dtype=np.int64)
+    for j, sl in enumerate(seg_limbs):
+        # tap limb i times signal limb j lands on level i + j
+        levels[j : j + len(tap_rows)] += real_rows(sl, tap_rows, count).astype(np.int64)
     total = np.zeros(count, dtype=object)
     for s in range(levels.shape[0]):
         total += levels[s].astype(object) << (bits * s)

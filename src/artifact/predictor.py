@@ -127,8 +127,8 @@ def forecast_stack(run: PredictionRun, tapsets) -> list[Signal]:
 
     Every tapset holds M causal taps for run's signal and window (for
     instance causal_kernel at each gamma of a sweep).  The engine reads each
-    input window once for the whole stack (a stack of one goes through
-    `np.convolve`), and for any stack an output depends only on the samples
+    input window once for the whole stack (a stack of one real tapset goes
+    through `np.convolve`), and for any stack an output depends only on the samples
     at times <= t, bit for bit.
     """
     if not tapsets:

@@ -202,6 +202,19 @@ def test_exit_code_io():
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--omega", "pi/3", "--length", "64"],
+    ["kernel", "--a", "2", "--omega", "pi/3", "--gamma", "-6", "--mode", "low", "--m", "64"],
+])
+def test_allocation_past_the_address_space_exits_other(tmp_path, capsys, argv):
+    # n = 2**50 asks for arrays of 4-8 PiB, more than any 64-bit address space
+    # holds, so numpy refuses them at once instead of allocating
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--n", str(2**50), "--out", str(out)]) == EXIT_OTHER
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 def test_predict_rejects_malformed_input(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,wrong,header\n0,1,2\n")

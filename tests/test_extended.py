@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from artifact import ParameterError
+from artifact._engine import group_width
 from artifact.cli import main
 from artifact.extended import WORD_BITS, GUARD_BITS, _constants, exact_causal_sum, words_needed
 
@@ -62,6 +63,31 @@ def test_exact_causal_sum_reads_only_the_past():
         assert np.array_equal(again[: probe - t_a + 1], ref[: probe - t_a + 1])
         short = exact_causal_sum(taps, mutated, t_a, probe - t_a + 1, FRAC)
         assert np.array_equal(short, ref[: probe - t_a + 1])
+
+
+def test_exact_causal_sum_splits_a_wide_limb_stack():
+    # m = 4096 cuts limbs of 20 bits, so 531-bit taps give 27 tap limbs: more
+    # rows than one product takes (group_width(4096) = 15), so every signal
+    # limb meets the tap limbs in two groups
+    rng = np.random.default_rng(4096)
+    m, count = 4096, 40
+    assert group_width(m) == 15
+    taps = _random_fixed(rng, m, 531)
+    taps[-1] = -sum(taps[:-1])
+    x = (1 << 320) + _random_fixed(rng, m + count - 1, 60)
+    assert -(-max(abs(int(t)) for t in taps).bit_length() // 20) == 27
+    start = m - 1
+    ref = exact_causal_sum(taps, x, start, count, FRAC)
+    for i in range(count):
+        total = sum(int(taps[u]) * int(x[start + i - u]) for u in range(m))
+        assert ref[i] == float(Fraction(total, 1 << (2 * FRAC))), i
+    for probe in (start, start + 15, start + 16, start + 31):
+        mutated = x.copy()
+        mutated[probe + 1:] = _random_fixed(rng, len(x) - probe - 1, 400)
+        again = exact_causal_sum(taps, mutated, start, count, FRAC)
+        assert np.array_equal(again[: probe - start + 1], ref[: probe - start + 1])
+        short = exact_causal_sum(taps, mutated, start, probe - start + 1, FRAC)
+        assert np.array_equal(short, ref[: probe - start + 1])
 
 
 def test_exact_causal_sum_validates_window():

@@ -9,7 +9,8 @@ Running it against two checkouts and diffing the listings checks that a
 change keeps every output byte, message and exit code.
 
 The argvs are the seven test_10 cases, the nine `interactive` shapes of
-bandbench at three seeds, and `kernel` with `--b` and in high mode, each
+bandbench at three seeds, `kernel` with `--b` and in high mode, and the
+golden `sweep-noise` at nu = 0, which is scored in extended precision, each
 as CSV and as JSON; then help and usage-error cases of the parser.  Runs
 take place in a fresh temporary directory with relative paths and a
 pinned terminal width, so the listing depends only on the program.
@@ -47,6 +48,13 @@ KERNEL_VARIANTS = [
      "--n", "1024", "--m", "64"],
     ["kernel", "--a", "-2", "--omega", "pi/3", "--gamma", "6", "--mode", "high",
      "--n", "1024", "--m", "64"],
+]
+
+# the golden noise sweep's nu = 0 row: its float64 roundoff floor sends it
+# through `artifact.extended` and its exact limb sum
+EXTENDED = [
+    ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.1", "--nu", "0",
+     "--n", "4096", "--m", "1024", "--seed", "20260819"],
 ]
 
 INTERACTIVE_SEEDS = (1, 2, 3)
@@ -132,7 +140,8 @@ def main(argv=None) -> int:
         try:
             run_dir = Path("run")
             run_dir.mkdir()
-            runs = [_without_format(a) for a in TEST_10 + _interactive("inputs") + KERNEL_VARIANTS]
+            runs = [_without_format(a)
+                    for a in TEST_10 + _interactive("inputs") + KERNEL_VARIANTS + EXTENDED]
             for argv in runs:
                 for fmt in ("csv", "json"):
                     print(_run(bandpredict, [*argv, "--format", fmt, "--out", f"run/out.{fmt}"],
