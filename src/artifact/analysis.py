@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PredictionError
 from .extended import forecast_from_spectrum, words_needed
-from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
+from .kernels import (FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, power_order,
+                      psi)
 from .predictor import (PredictionRun, error_report, forecast, forecast_stack, interior_window,
                         target)
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
@@ -156,8 +157,11 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
 
     Rows come back in input gamma order.  The target and the transfer grid
     do not depend on gamma, so each is computed once.  The taps of every
-    gamma are built first, in order, so the first gamma that cannot be
-    built raises; then one `forecast_stack` call scores them all.
+    gamma are built first, then one `forecast_stack` call scores them all.
+    The taps are built in `kernels.power_order`, so a doubling ladder in any
+    order costs one exp.  A tap's bits depend on its gamma alone, so that
+    order changes no row, and the gamma that raises is the first one in
+    input order that cannot be built.
     """
     if sigspec.mode != mode:
         raise ParameterError(
@@ -167,10 +171,22 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     l2x = spectrum_l2(x, n)
     t_a, t_b = interior_window(x, m, kernel.a)
     grid = TransferGrid(kernel, omega, n)
-    sweep, tapsets = [], []
-    for gamma in gammas:
-        sweep.append(PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode))
-        tapsets.append(causal_kernel(kernel, sweep[-1], grid))
+    sweep, failed = [], None
+    try:
+        for gamma in gammas:
+            sweep.append(PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode))
+    except ParameterError as exc:
+        failed = (len(sweep), exc)
+    tapsets = [None] * len(sweep)
+    for i in power_order([params.gamma for params in sweep]):
+        if failed is not None and i > failed[0]:
+            continue
+        try:
+            tapsets[i] = causal_kernel(kernel, sweep[i], grid)
+        except PredictionError as exc:
+            failed = (i, exc)
+    if failed is not None:
+        raise failed[1]
     if not sweep:
         return []
     run = PredictionRun(x, kernel, sweep[0], t_a, t_b)

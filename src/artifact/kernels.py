@@ -40,8 +40,9 @@ the largest k >= 0 for which gamma / 2**k is an integer, exp(gamma*d) is
 E_q = exp(q*d) squared k times.  k is 0 for an odd, zero or non-integer
 gamma, which keeps one direct complex exp.  The grid keeps its last power
 and squares it forward when the next gamma has the same q and a k at least
-as large, so an ascending doubling ladder costs one exp per sweep.  The bits
-depend on gamma alone, never on which other gammas share the grid.
+as large, so an ascending doubling ladder costs one exp per sweep, and
+power_order gives that order for any list of gammas.  The bits depend on
+gamma alone, never on which other gammas share the grid.
 """
 
 from __future__ import annotations
@@ -200,6 +201,15 @@ def _power_split(gamma: float) -> tuple[float, int]:
     return q, k
 
 
+def power_order(gammas) -> list[int]:
+    """Indices of gammas in ascending k within each q of gamma = q * 2**k.
+
+    One TransferGrid that inverts them in this order squares its power
+    forward throughout, so it takes one exp per distinct q.
+    """
+    return sorted(range(len(gammas)), key=lambda i: _power_split(gammas[i]))
+
+
 def _check_exponent(direction: np.ndarray, gamma: float, scratch=None) -> None:
     """Refuse gamma when gamma * Re(direction) passes EXP_GUARD on some bin."""
     expo = np.multiply(direction.real, gamma, out=scratch)
@@ -294,8 +304,8 @@ class TransferGrid:
         self.alpha = alpha(kernel.a, self.omega)
         self.direction = _direction(kernel.a, self.alpha, self.n)
         self._power = _Power(self.direction)
-        # invert works in place here: with fresh temporaries per gamma, glibc
-        # trimmed and refaulted the heap every gamma in some heap layouts
+        # invert works in place here, so a sweep keeps one set of half-spectrum
+        # arrays; the CLI's heap policy (see `cli`) keeps freed ones resident
         self._work = np.empty_like(self.direction)
 
     def _exp(self, gamma: float) -> np.ndarray:

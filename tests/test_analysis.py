@@ -13,6 +13,7 @@ from artifact import (
     InternalConsistencyError,
     NoisySpectrumSpec,
     ParameterError,
+    PredictionError,
     PredictionRun,
     PredictorParams,
     SaturationError,
@@ -161,6 +162,62 @@ def test_gamma_sweep_raises_for_the_first_failing_gamma(gammas, error):
     with pytest.raises(error) as got:
         gamma_sweep(kernel, omega, "low", BandSignalSpec(omega=omega, mode="low", length=256,
                                                          seed=3), gammas, n, m)
+    assert str(got.value) == str(want.value)
+
+
+def _bits(rows):
+    return np.array([(r.gamma, r.abs_l2, r.abs_linf, r.rel_l2, r.rel_linf) for r in rows]).tobytes()
+
+
+@pytest.mark.parametrize("a, mode, sign", [(2.0, "low", -1.0), (-2.0, "high", 1.0)])
+def test_descending_ladder_gives_the_ascending_rows(a, mode, sign):
+    # the taps are built in ascending k whatever the input order, and a
+    # tap's bits depend on its gamma alone
+    kernel, omega, n, m = FirstOrderKernel(a), PI / 3, 8192, 1024
+    spec = BandSignalSpec(omega=omega, mode=mode, length=4008, seed=13)
+    ascending = [sign * 2.0 ** k for k in range(9)]
+    up = gamma_sweep(kernel, omega, mode, spec, ascending, n, m)
+    down = gamma_sweep(kernel, omega, mode, spec, ascending[::-1], n, m)
+    assert [r.gamma for r in down] == ascending[::-1]
+    assert _bits(down) == _bits(up[::-1])
+
+
+def test_descending_ladder_evaluates_one_exp(monkeypatch):
+    from artifact.spectral import unit_circle_half
+
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 8192, 1024
+    spec = BandSignalSpec(omega=omega, mode="low", length=4008, seed=13)
+    unit_circle_half(n)  # the cached exp(i*omega), built before counting
+    exp = np.exp
+    sizes = []
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    gamma_sweep(kernel, omega, "low", spec, [-(2.0 ** k) for k in range(8, -1, -1)], n, m)
+    assert sizes.count(n // 2 + 1) == 1
+
+
+@pytest.mark.parametrize("gammas, first", [
+    # -3072 = -3 * 2**10 is built before the q = -1 ladder and saturates; -128 leaks
+    ([-1.0, -3072.0, -128.0], 1),
+    ([-1.0, -128.0, -3072.0], 1),
+    ([-1.0, -3072.0, 2.0], 1),
+    ([-4.0, 2.0, -3072.0], 1),
+])
+def test_gamma_sweep_raises_for_the_first_failing_gamma_in_input_order(gammas, first):
+    # gamma = 2 is refused in low mode before any tap is built; the error of
+    # the failing gamma that comes first in the input is the one raised
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 256, 32
+    with pytest.raises(PredictionError) as want:
+        params = PredictorParams(omega=omega, gamma=gammas[first], n=n, m=m, mode="low")
+        causal_kernel(kernel, params)
+    with pytest.raises(PredictionError) as got:
+        gamma_sweep(kernel, omega, "low", BandSignalSpec(omega=omega, mode="low", length=256,
+                                                         seed=3), gammas, n, m)
+    assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
 

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,3 +466,37 @@ def test_one_damping_exp_per_kernel_job(tmp_path, monkeypatch, gamma):
     assert main([*KERNEL_ARGS, "--a", "2", "--gamma", gamma,
                  "--out", str(tmp_path / "o.csv")]) == EXIT_OK
     assert sizes.count(513) == 1
+
+
+# a fine-grid sweep: each job allocates and frees about 6 MB of n = 65536 arrays
+_FAULT_PROBE = """
+import resource, sys
+from artifact.cli import main
+argv = ["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low",
+        "--gamma=-1,-2,-4,-8,-16,-32,-64,-128,-256", "--n", "65536", "--m", "128",
+        "--length", "1024", "--seed", "5", "--out", sys.argv[1]]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy sets glibc's mallopt parameters; other C "
+                           "libraries keep their own trimming behaviour")
+def test_repeated_job_keeps_its_heap_resident(tmp_path):
+    # without the policy glibc returned the freed arrays to the kernel and the
+    # second job faulted about 1,570 pages back in
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "o.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert second < 200, (first, second)

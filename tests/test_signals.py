@@ -195,3 +195,58 @@ def test_split_validation():
         ideal_filter_split(x, 0.0, 32)
     with pytest.raises(ParameterError):
         ideal_filter_split(x, PI, 32)
+
+
+# The full-grid construction the generators are checked against: the draw in
+# grid order, symmetrized by a gathered mirror, masked by the full-grid band
+# test and synthesized by ifft(ifftshift(.)).
+
+
+def _reference_hermitize(vals):
+    n = vals.size
+    return 0.5 * (vals + np.conj(vals[(n - np.arange(n)) % n]))
+
+
+def _reference_band(spec, n):
+    rng = np.random.default_rng(spec.seed)
+    sym = _reference_hermitize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    absom = np.abs(grid_omegas(n))
+    keep = absom <= spec.omega if spec.mode == "low" else absom >= spec.omega
+    sym[~keep] = 0.0
+    window = np.fft.ifft(np.fft.ifftshift(sym))[np.arange(spec.length) % n]
+    if spec.normalization == "unit_l2":
+        scale = float(np.linalg.norm(window))
+    else:
+        scale = float(np.max(np.abs(sym)))
+    return sym / scale, Signal(0, np.real(window) / scale).values
+
+
+def _reference_noisy(spec, n):
+    rng = np.random.default_rng(spec.seed)
+    mags = rng.uniform(0.0, 1.0, n)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    env = np.where(np.abs(grid_omegas(n)) <= spec.omega, 1.0, spec.nu)
+    sym = _reference_hermitize(env * mags * np.exp(1j * phases))
+    window = np.fft.ifft(np.fft.ifftshift(sym))[np.arange(spec.length) % n]
+    return sym, Signal(0, np.real(window)).values
+
+
+@pytest.mark.parametrize("n", [8, 1024, 65536])
+@pytest.mark.parametrize("mode", ["low", "high"])
+@pytest.mark.parametrize("normalization", ["unit_l2", "unit_spectrum_linf"])
+def test_band_draw_matches_the_full_grid_construction(n, mode, normalization):
+    for omega in (PI / 3, PI / 2):
+        spec = BandSignalSpec(omega=omega, mode=mode, length=min(n, 1024), seed=29,
+                              normalization=normalization)
+        spectrum, window = _reference_band(spec, n)
+        assert band_spectrum(spec, n).values.tobytes() == spectrum.tobytes()
+        assert gen_band_signal(spec, n).values.tobytes() == window.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 1024, 65536])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_noisy_draw_matches_the_full_grid_construction(n, nu):
+    spec = NoisySpectrumSpec(omega=PI / 3, nu=nu, seed=29, length=min(n, 512))
+    spectrum, window = _reference_noisy(spec, n)
+    assert noisy_spectrum(spec, n).values.tobytes() == spectrum.tobytes()
+    assert gen_noisy_spectrum(spec, n).values.tobytes() == window.tobytes()

@@ -9,9 +9,11 @@ Running it against two checkouts and diffing the listings checks that a
 change keeps every output byte, message and exit code.
 
 The argvs are the seven test_10 cases, the nine `interactive` shapes of
-bandbench at three seeds, `kernel` with `--b` and in high mode, and the
-golden `sweep-noise` at nu = 0, which is scored in extended precision, each
-as CSV and as JSON; then help and usage-error cases of the parser.  Runs
+bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
+`sweep-noise` at nu = 0, which is scored in extended precision, and the
+`fine-grid` and `sweep-long` ladders of bandbench in each mode at one seed
+(the n = 65536 and n = 32768 syntheses), each as CSV and as JSON; then help
+and usage-error cases of the parser.  Runs
 take place in a fresh temporary directory with relative paths and a
 pinned terminal width, so the listing depends only on the program.
 """
@@ -58,19 +60,20 @@ EXTENDED = [
 ]
 
 INTERACTIVE_SEEDS = (1, 2, 3)
+LADDER_SEED = 1
 
 
-def _interactive(inputs_dir: str) -> list[list[str]]:
-    """The first round of bandbench's `interactive` shapes at each seed, without --out."""
+def _first_round(workload: str, seeds, inputs_dir: str) -> list[list[str]]:
+    """The first round of a bandbench workload's shapes at each seed, without --out."""
     sys.path.insert(0, str(ROOT))
     from bandbench import workloads
 
     argvs = []
-    for seed in INTERACTIVE_SEEDS:
+    for seed in seeds:
         workdir = os.path.join(inputs_dir, str(seed))
         os.makedirs(workdir)
-        jobs = workloads.jobs("interactive", seed, workdir)
-        for _ in range(workloads.CYCLE["interactive"]):
+        jobs = workloads.jobs(workload, seed, workdir)
+        for _ in range(workloads.CYCLE[workload]):
             argv = next(jobs)
             argvs.append(argv[:argv.index("--out")])
     return argvs
@@ -141,7 +144,10 @@ def main(argv=None) -> int:
             run_dir = Path("run")
             run_dir.mkdir()
             runs = [_without_format(a)
-                    for a in TEST_10 + _interactive("inputs") + KERNEL_VARIANTS + EXTENDED]
+                    for a in TEST_10 + _first_round("interactive", INTERACTIVE_SEEDS, "inputs")
+                    + KERNEL_VARIANTS + EXTENDED
+                    + _first_round("fine-grid", [LADDER_SEED], "fine-grid")
+                    + _first_round("sweep-long", [LADDER_SEED], "sweep-long")]
             for argv in runs:
                 for fmt in ("csv", "json"):
                     print(_run(bandpredict, [*argv, "--format", fmt, "--out", f"run/out.{fmt}"],
