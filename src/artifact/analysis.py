@@ -268,6 +268,9 @@ def corollary_split_experiment(x: Signal, omega: float, kernel: FirstOrderKernel
     signal; the per-part errors are scored against the per-part targets.  All
     three relative columns share the full-signal spectrum norm as
     denominator, so the triangle inequality between them holds on the nose.
+    The ideal split is a DFT over x's whole window, so the parts, and with
+    them the combined forecast, read samples of x past each forecast time:
+    the combined column is the paper's reference, not a causal forecast.
     """
     low, high = ideal_filter_split(x, omega, n)
     denom = spectrum_l2(x, n)

@@ -9,8 +9,9 @@ Subcommands:
     split        two-band split prediction experiment
 
 Every flag is declared once, in FLAGS; each subcommand in COMMANDS lists the
-flags it takes.  The parser registers every subcommand with its help line but
-declares flags only for the invoked one.  Output is CSV (default) or JSON.
+flags it takes.  `build_parser` declares them all once per process, on first
+use, and every later call shares that parser; importing the module builds
+nothing.  Output is CSV (default) or JSON.
 CSV numbers carry 17 significant digits so parsing them recovers the exact
 doubles; JSON numbers are the shortest repr that round-trips, as `json`
 writes them.  '#' header lines echo the parsed flags in their declaration
@@ -321,14 +322,17 @@ def _read_time_series(path: str) -> Signal:
         if len(cells) != 3:
             raise ParameterError(f"{path} line {row}: malformed time-series row {line!r}")
         try:
-            times.append(int(cells[0]))
-            re_vals.append(float(cells[1]))
-            im_vals.append(float(cells[2]))
+            t, x_re, x_im = int(cells[0]), float(cells[1]), float(cells[2])
         except ValueError:
             raise ParameterError(
                 f"{path} line {row}: expected an integer t and numeric x_re, x_im, "
                 f"got {line!r}"
             ) from None
+        if not (math.isfinite(x_re) and math.isfinite(x_im)):
+            raise ParameterError(f"{path} line {row}: sample values must be finite, got {line!r}")
+        times.append(t)
+        re_vals.append(x_re)
+        im_vals.append(x_im)
     if not times:
         raise ParameterError(f"{path} holds no samples")
     start = times[0]
@@ -428,37 +432,23 @@ COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it declares its flags when argparse hands it the argv.
-
-    So a call builds the argparse actions of the invoked command only, while
-    help, usage and error text stay those of a parser that declares them all.
-    """
-
-    def __init__(self, flags=(), **kwargs):
-        super().__init__(**kwargs)
-        self._undeclared = flags
-        self._negative_number_matcher = _NEGATIVE_VALUE
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag in self._undeclared:
-            name = flag.rstrip("!")
-            kwargs = dict(FLAGS[name])
-            option = kwargs.pop("flag", "--" + name.replace("_", "-"))
-            self.add_argument(option, dest=name, required=flag.endswith("!"), **kwargs)
-        self._undeclared = ()
-        return super().parse_known_args(args, namespace)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built on first use and shared by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="bandpredict",
         description="Causal predicting kernels for band-limited sequences: "
                     "design dumps, test signals, predictions, and experiment sweeps.",
     )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    subs = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text, flags) in COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text, flags=(*flags, "out!", "format"))
+        sub = subs.add_parser(command, help=help_text)
+        sub._negative_number_matcher = _NEGATIVE_VALUE
+        for flag in (*flags, "out!", "format"):
+            name = flag.rstrip("!")
+            kwargs = dict(FLAGS[name])
+            option = kwargs.pop("flag", "--" + name.replace("_", "-"))
+            sub.add_argument(option, dest=name, required=flag.endswith("!"), **kwargs)
         sub.set_defaults(handler=handler, flags=tuple(flag.rstrip("!") for flag in flags))
     return parser
 

@@ -66,7 +66,6 @@ class PredictionRun:
     params: PredictorParams
     eval_start: int
     eval_stop: int
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.eval_start > self.eval_stop:
@@ -86,7 +85,7 @@ class PredictionRun:
 
     @property
     def tail_len(self) -> int:
-        return anticausal_tail_len(self.kernel.a, self.tail_tol)
+        return anticausal_tail_len(self.kernel.a)
 
     @property
     def window_length(self) -> int:

@@ -209,7 +209,9 @@ def ideal_filter_split(x: Signal, omega: float, n: int):
     Bin-wise multiplication by the indicator and its complement, then inverse
     transform over x's own window.  The two indicators add to one bin-exactly,
     so low + high reproduces x to roundoff.  Ties at |omega_j| = omega go to
-    the low part.
+    the low part.  The transform spans the whole window, so every sample of
+    each part depends on every sample of x, later ones included: the split
+    is not causal.
     """
     omega = float(omega)
     if not (0.0 < omega < math.pi):

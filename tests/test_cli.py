@@ -233,7 +233,8 @@ PREDICT_ARGS = ["predict", "--a", "2", "--omega", "pi/3", "--gamma", "-1",
                 "--mode", "low", "--n", "256", "--m", "16"]
 
 
-@pytest.mark.parametrize("bad_row", ["1.5,0.25,0", "1,abc,0", "1,0.25,"])
+@pytest.mark.parametrize("bad_row", ["1.5,0.25,0", "1,abc,0", "1,0.25,",
+                                     "1,nan,0", "1,0.25,inf", "1,-inf,0", "1,1e400,0"])
 def test_predict_input_parse_error_names_file_and_row(tmp_path, capsys, bad_row):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"# comment\nt,x_re,x_im\n0,0.5,0\n{bad_row}\n")
@@ -500,3 +501,27 @@ def test_repeated_job_keeps_its_heap_resident(tmp_path):
     assert proc.returncode == 0, proc.stderr
     first, second = map(int, proc.stdout.split())
     assert second < 200, (first, second)
+
+
+def test_jobs_sharing_the_parser_leave_no_state(tmp_path, capsys):
+    # sweep-noise's default --nu list is one object shared by every parse, and
+    # sweep-gamma without --gamma assigns its default ladder to the namespace
+    noise = ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.2", "--n", "1024",
+             "--m", "256"]
+    gamma = ["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--n", "1024",
+             "--m", "128", "--length", "512"]
+
+    def outputs(tag):
+        paths = (tmp_path / f"noise{tag}.csv", tmp_path / f"gamma{tag}.csv")
+        for argv, path in zip((noise, gamma), paths):
+            assert main([*argv, "--out", str(path)]) == EXIT_OK
+        return [_read(path) for path in paths]
+
+    first = outputs(1)
+    assert main([*noise, "--nu=0.5", "--out", str(tmp_path / "other.csv")]) == EXIT_OK
+    assert main([*gamma, "--gamma=-3", "--out", str(tmp_path / "other.csv")]) == EXIT_OK
+    for argv in ([*noise, "--bogus", "1"], ["sweep-gamma", "-h"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert outputs(2) == first

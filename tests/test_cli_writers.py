@@ -2,14 +2,18 @@
 
 The CSV and JSON writers format whole tables at once; the references below
 format cell by cell (`format(v, ".17g")`, `str(t)`) and let `json.dumps`
-lay out the whole document with indent=2.  The parser declares only the
-invoked command's flags; the reference parser declares every command's.
+lay out the whole document with indent=2.  The parser is built once per
+process and shared by every call of `main`; the reference parser is built
+afresh for each parse.
 """
 
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,3 +135,43 @@ def test_parser_text_matches_a_fully_declared_parser(argv, capsys, monkeypatch):
 ], ids=lambda argv: argv[0])
 def test_parsed_flags_match_a_fully_declared_parser(argv):
     assert vars(build_parser().parse_args(argv)) == vars(_reference_parser().parse_args(argv))
+
+
+def test_a_second_call_declares_no_arguments(tmp_path, monkeypatch):
+    out = str(tmp_path / "o.csv")
+    assert main([*KERNEL[:-1], out]) == 0
+    declared = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        declared.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert main([*KERNEL[:-1], out]) == 0
+    assert declared == []
+
+
+_IMPORT_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import artifact.cli
+print(len(built))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

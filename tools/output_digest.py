@@ -12,8 +12,8 @@ The argvs are the seven test_10 cases, the nine `interactive` shapes of
 bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
 `sweep-noise` at nu = 0, which is scored in extended precision, and the
 `fine-grid` and `sweep-long` ladders of bandbench in each mode at one seed
-(the n = 65536 and n = 32768 syntheses), each as CSV and as JSON; then help
-and usage-error cases of the parser.  Runs
+(the n = 65536 and n = 32768 syntheses), each as CSV and as JSON; then help,
+usage-error and error-exit cases, a non-finite `--input` sample last.  Runs
 take place in a fresh temporary directory with relative paths and a
 pinned terminal width, so the listing depends only on the program.
 """
@@ -58,6 +58,8 @@ EXTENDED = [
     ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.1", "--nu", "0",
      "--n", "4096", "--m", "1024", "--seed", "20260819"],
 ]
+
+NONFINITE_INPUT = "nonfinite.csv"
 
 INTERACTIVE_SEEDS = (1, 2, 3)
 LADDER_SEED = 1
@@ -105,6 +107,8 @@ def _usage_cases(commands) -> list[list[str]]:
         [*TEST_10[3][:-4], "--length", "100", "--seed", "3", "--out", "run/out.csv"],
         [*TEST_10[0][:6], "-100000", *TEST_10[0][7:], "--out", "run/out.csv"],
         [*TEST_10[0], "--out", "run/missing/out.csv"],
+        # a non-finite --input sample, named with its file and line
+        [*TEST_10[3][:-4], "--input", NONFINITE_INPUT, "--out", "run/out.csv"],
     ]
     return cases
 
@@ -143,6 +147,7 @@ def main(argv=None) -> int:
         try:
             run_dir = Path("run")
             run_dir.mkdir()
+            Path(NONFINITE_INPUT).write_text("t,x_re,x_im\n0,0.5,0\n1,1e400,0\n2,0.25,0\n")
             runs = [_without_format(a)
                     for a in TEST_10 + _first_round("interactive", INTERACTIVE_SEEDS, "inputs")
                     + KERNEL_VARIANTS + EXTENDED
