@@ -28,7 +28,7 @@ from .predictor import (PredictionRun, error_report, forecast, forecast_stack, i
                         target)
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
                       ideal_filter_split, noisy_spectrum)
-from .spectral import Signal, grid_omegas, norm, spectrum_l2
+from .spectral import Signal, _checked_band_edge, grid_omegas, norm, spectrum_l2
 
 # noise_sweep scores a row in extended precision when the float64 roundoff
 # floor of its forecast would exceed this fraction of the row's budget
@@ -80,9 +80,7 @@ def nu_i3_closed_form(kappa: float, nu: float, omega: float, eps: float,
 
 def budget(a: float, omega: float, eps: float, nu: float, n: int) -> ErrorBudget:
     """Compute the full error budget for the plain-pole kernel 1/(z+a)."""
-    omega, eps, nu = float(omega), float(eps), float(nu)
-    if not (0.0 < omega < math.pi):
-        raise ParameterError(f"band edge must lie in (0, pi), got {omega}")
+    omega, eps, nu = _checked_band_edge(omega), float(eps), float(nu)
     if not (0.0 < eps < 4.0 * omega):
         raise ParameterError(f"eps must lie in (0, 4*omega), got {eps}")
     if not (0.0 <= nu < 1.0):
@@ -156,12 +154,13 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     """Score the same signal against predictors along a damping sweep.
 
     Rows come back in input gamma order.  The target and the transfer grid
-    do not depend on gamma, so each is computed once.  The taps of every
-    gamma are built first, then one `forecast_stack` call scores them all.
-    The taps are built in `kernels.power_order`, so a doubling ladder in any
-    order costs one exp.  A tap's bits depend on its gamma alone, so that
-    order changes no row, and the gamma that raises is the first one in
-    input order that cannot be built.
+    do not depend on gamma, so each is computed once.  The params and taps
+    of every gamma are built first, then one `forecast_stack` call scores
+    them all.  They are built in `kernels.power_order`, so a doubling ladder
+    in any order costs one exp.  A tap's bits depend on its gamma alone, so
+    that order changes no row.  When some gammas cannot be built, every
+    gamma is still tried, and the error of the first in input order is
+    raised.
     """
     if sigspec.mode != mode:
         raise ParameterError(
@@ -171,24 +170,20 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     l2x = spectrum_l2(x, n)
     t_a, t_b = interior_window(x, m, kernel.a)
     grid = TransferGrid(kernel, omega, n)
-    sweep, failed = [], None
-    try:
-        for gamma in gammas:
-            sweep.append(PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode))
-    except ParameterError as exc:
-        failed = (len(sweep), exc)
-    tapsets = [None] * len(sweep)
-    for i in power_order([params.gamma for params in sweep]):
-        if failed is not None and i > failed[0]:
-            continue
+    gammas = list(gammas)
+    built = [None] * len(gammas)
+    for i in power_order(gammas):
         try:
-            tapsets[i] = causal_kernel(kernel, sweep[i], grid)
+            params = PredictorParams(omega=omega, gamma=gammas[i], n=n, m=m, mode=mode)
+            built[i] = params, causal_kernel(kernel, params, grid)
         except PredictionError as exc:
-            failed = (i, exc)
-    if failed is not None:
-        raise failed[1]
-    if not sweep:
+            built[i] = exc
+    for entry in built:
+        if isinstance(entry, PredictionError):
+            raise entry
+    if not built:
         return []
+    sweep, tapsets = zip(*built)
     run = PredictionRun(x, kernel, sweep[0], t_a, t_b)
     y = target(run)
     rows = []

@@ -28,8 +28,11 @@ the process: once per process it sets mallopt's M_TRIM_THRESHOLD to 1 GiB
 and M_MMAP_THRESHOLD to 32 MiB.  By default glibc serves a large array by a
 fresh mmap and returns a freed heap top to the kernel, so every job faulted
 its arrays in again: about 1,570 minor page faults per n = 65536 sweep, at
-about 3 us each with the page zeroing, a quarter of the job or more.  With
-the policy the second such job takes about 140 and later ones a handful.  Where mallopt does not exist
+about 3 us each with the page zeroing, a quarter of the job or more (about
+700 in synthesis, 600 in building the TransferGrid, 250 in inversion).
+With the policy the second such job takes about 140 and later ones a
+handful.  The policy is the package's one means of keeping arrays resident:
+no layer keeps buffers between calls.  Where mallopt does not exist
 (non-glibc C libraries) nothing is set.  Importing `artifact` never changes
 the allocator of a library user's process.
 """

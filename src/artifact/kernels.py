@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalityLeakError, GridSizeError, ParameterError, SaturationError
-from .spectral import Signal, SpectrumGrid, _checked_grid_size, mirror_half, unit_circle_half
+from .spectral import (Signal, SpectrumGrid, _checked_band_edge, _checked_grid_size, mirror_half,
+                       unit_circle_half)
 
 # Relative l2 mass tolerated at negative time indices when inverting Khat on
 # a finite grid; above this the grid is considered too small for the gamma.
@@ -70,13 +71,6 @@ def _check_pole(a: float) -> float:
     if not abs(a) > 1.0:
         raise ParameterError(f"pole parameter must satisfy |a| > 1, got a={a}")
     return a
-
-
-def _check_band_edge(omega: float) -> float:
-    omega = float(omega)
-    if not (0.0 < omega < math.pi):
-        raise ParameterError(f"band edge must lie strictly inside (0, pi), got {omega}")
-    return omega
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class PredictorParams:
     mode: str
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _check_band_edge(self.omega))
+        object.__setattr__(self, "omega", _checked_band_edge(self.omega))
         gamma = float(self.gamma)
         if not math.isfinite(gamma):
             raise ParameterError(f"damping gamma must be finite, got gamma={gamma}")
@@ -143,7 +137,7 @@ def alpha(a: float, omega: float) -> float:
     damping exponent's real part to the band edge.
     """
     a = _check_pole(a)
-    omega = _check_band_edge(omega)
+    omega = _checked_band_edge(omega)
     den = a + math.cos(omega)
     if abs(den) < 1e-12:
         raise ParameterError("degenerate denominator a + cos(omega)")
@@ -210,9 +204,9 @@ def power_order(gammas) -> list[int]:
     return sorted(range(len(gammas)), key=lambda i: _power_split(gammas[i]))
 
 
-def _check_exponent(direction: np.ndarray, gamma: float, scratch=None) -> None:
+def _check_exponent(direction: np.ndarray, gamma: float) -> None:
     """Refuse gamma when gamma * Re(direction) passes EXP_GUARD on some bin."""
-    expo = np.multiply(direction.real, gamma, out=scratch)
+    expo = direction.real * gamma
     # expo is even, and reversed these are the grid's bins 0 .. n/2: j is its first maximum
     j = int(np.argmax(expo[::-1]))
     worst = expo[-1 - j]
@@ -236,9 +230,9 @@ class _Power:
         self.values = np.empty_like(direction)
         self.q, self.k = None, 0
 
-    def exp(self, gamma: float, scratch=None) -> np.ndarray:
+    def exp(self, gamma: float) -> np.ndarray:
         """exp(gamma * direction); the array is overwritten by the next call."""
-        _check_exponent(self.direction, gamma, scratch)
+        _check_exponent(self.direction, gamma)
         q, k = _power_split(gamma)
         e = self.values
         if q != self.q or k < self.k:
@@ -292,28 +286,24 @@ class TransferGrid:
     (spectral.half_omegas).  K is read back from one k_transfer call: its
     grid bins n/2 .. n-1, then the conjugate of its bin at -pi.  The grid
     keeps the last damping power, so damping(gamma) and the invert(gamma)
-    that follows share one exp, as do the gammas of a doubling ladder.
+    that follows share one exp, as do the gammas of a doubling ladder.  That
+    power is its only state between calls: damping and invert return fresh
+    arrays, and the CLI's heap policy (see `cli`) keeps freed ones resident.
     """
 
     def __init__(self, kernel: FirstOrderKernel, omega: float, n: int):
         self.kernel = kernel
-        self.omega = _check_band_edge(omega)
+        self.omega = _checked_band_edge(omega)
         self.n = int(n)
         k = k_transfer(kernel, self.n).values
         self.k = np.concatenate([k[self.n // 2:], np.conj(k[:1])])
         self.alpha = alpha(kernel.a, self.omega)
         self.direction = _direction(kernel.a, self.alpha, self.n)
         self._power = _Power(self.direction)
-        # invert works in place here, so a sweep keeps one set of half-spectrum
-        # arrays; the CLI's heap policy (see `cli`) keeps freed ones resident
-        self._work = np.empty_like(self.direction)
-
-    def _exp(self, gamma: float) -> np.ndarray:
-        return self._power.exp(gamma, self._work.view(float)[: self.direction.size])
 
     def damping(self, gamma: float) -> np.ndarray:
         """V at gamma on the half-spectrum bins; refused past EXP_GUARD."""
-        return np.subtract(1.0, self._exp(gamma))
+        return 1.0 - self._power.exp(gamma)
 
     def invert(self, gamma: float):
         """Real period khat(0) .. khat(n-1) of Khat at gamma, and its leak ratio.
@@ -321,14 +311,12 @@ class TransferGrid:
         Entries n/2 .. n-1 of the period stand for t - n < 0; the leak ratio
         is their l2 mass relative to the whole period.
         """
-        v = np.subtract(1.0, self._exp(gamma), out=self._work)
-        khat = np.multiply(v, self.k, out=self._work)
-        period = np.fft.irfft(khat, self.n)
+        period = np.fft.irfft(self.damping(gamma) * self.k, self.n)
         peak = max(float(period.max()), -float(period.min()))
         if peak == 0.0:  # gamma = 0 gives the zero kernel
             return period, 0.0
         # an exact power-of-two scale keeps the squares below overflow
-        sq = np.ldexp(period, -math.frexp(peak)[1], out=self._work.view(float)[: self.n])
+        sq = np.ldexp(period, -math.frexp(peak)[1])
         sq *= sq
         neg = float(np.sum(sq[self.n // 2 :]))
         return period, math.sqrt(neg / (float(np.sum(sq[: self.n // 2])) + neg))

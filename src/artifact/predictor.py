@@ -19,7 +19,8 @@ import numpy as np
 
 from ._engine import windowed_dot
 from .errors import InsufficientDataError, ParameterError, WindowMismatchError
-from .kernels import FirstOrderKernel, PredictorParams, anticausal_kernel, causal_kernel
+from .kernels import (FirstOrderKernel, PredictorParams, _check_pole, anticausal_kernel,
+                      causal_kernel)
 from .spectral import Signal
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -33,9 +34,7 @@ def anticausal_tail_len(a: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """
     if tail_tol <= 0:
         raise ParameterError(f"tail_tol must be positive, got {tail_tol}")
-    mag = abs(float(a))
-    if not mag > 1.0:
-        raise ParameterError(f"pole parameter must satisfy |a| > 1, got {a}")
+    mag = abs(_check_pole(a))
     val = math.ceil(math.log(tail_tol * (mag - 1.0)) / math.log(1.0 / mag))
     return max(val, 0)
 

@@ -21,13 +21,13 @@ reproduces the same draws regardless of platform word size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBandError, GridSizeError, ParameterError
-from .spectral import Signal, SpectrumGrid, dtft_on_grid, grid_omegas, half_omegas, inverse_grid
+from .spectral import (Signal, SpectrumGrid, _checked_band_edge, dtft_on_grid, grid_omegas,
+                       half_omegas, inverse_grid)
 
 NORMALIZATIONS = ("unit_l2", "unit_spectrum_linf")
 
@@ -50,10 +50,7 @@ class BandSignalSpec:
     normalization: str = "unit_l2"
 
     def __post_init__(self):
-        omega = float(self.omega)
-        if not (0.0 < omega < math.pi):
-            raise ParameterError(f"band edge must lie in (0, pi), got {omega}")
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", _checked_band_edge(self.omega))
         if self.mode not in ("low", "high"):
             raise ParameterError(f"mode must be 'low' or 'high', got {self.mode!r}")
         if int(self.length) < 1:
@@ -74,10 +71,7 @@ class NoisySpectrumSpec:
     length: int
 
     def __post_init__(self):
-        omega = float(self.omega)
-        if not (0.0 < omega < math.pi):
-            raise ParameterError(f"band edge must lie in (0, pi), got {omega}")
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", _checked_band_edge(self.omega))
         nu = float(self.nu)
         if not (0.0 <= nu < 1.0):
             raise ParameterError(f"out-of-band level must lie in [0, 1), got {nu}")
@@ -213,9 +207,7 @@ def ideal_filter_split(x: Signal, omega: float, n: int):
     each part depends on every sample of x, later ones included: the split
     is not causal.
     """
-    omega = float(omega)
-    if not (0.0 < omega < math.pi):
-        raise ParameterError(f"band edge must lie in (0, pi), got {omega}")
+    omega = _checked_band_edge(omega)
     spectrum = dtft_on_grid(x, n)
     keep = low_band_mask(n, omega)
     low_vals = np.where(keep, spectrum.values, 0.0)

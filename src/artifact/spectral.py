@@ -39,6 +39,13 @@ def _checked_grid_size(n) -> int:
     return n
 
 
+def _checked_band_edge(omega) -> float:
+    omega = float(omega)
+    if not (0.0 < omega < math.pi):
+        raise ParameterError(f"band edge must lie strictly inside (0, pi), got {omega}")
+    return omega
+
+
 @dataclass(frozen=True)
 class Signal:
     """A finite contiguous window of a complex sequence.

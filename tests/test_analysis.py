@@ -91,6 +91,11 @@ def test_nu_i3_log_log_affine_with_frozen_constants():
     assert np.max(np.abs(V - np.polyval(coef, L))) < 1e-9
 
 
+def test_nu_i3_past_the_exp_guard_is_inf():
+    # (mu / psi0) * log(2 * kappa / eps) = 1000 * log(2000) passes 700
+    assert nu_i3_closed_form(1.0, 0.01, PI / 2, 1e-3, 1000.0, 1.0) == math.inf
+
+
 def test_budget_validation():
     with pytest.raises(ParameterError):
         budget(2.0, PI / 2, 0.0, 0.0, 4096)
@@ -219,6 +224,12 @@ def test_gamma_sweep_raises_for_the_first_failing_gamma_in_input_order(gammas, f
                                                          seed=3), gammas, n, m)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_gamma_sweep_of_no_gammas_is_empty():
+    assert gamma_sweep(FirstOrderKernel(2.0), PI / 3, "low",
+                       BandSignalSpec(omega=PI / 3, mode="low", length=512, seed=3),
+                       [], 1024, 128) == []
 
 
 def test_gamma_sweep_mode_mismatch():

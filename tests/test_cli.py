@@ -105,6 +105,18 @@ def test_predict_roundtrip_matches_internal_generation(tmp_path):
     assert cells[2] < 0.2  # rel_l2 is small in this feasible configuration
 
 
+def test_readme_quick_start_prints_the_rel_l2_of_its_shell_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    shell = readme.split("```\nbandpredict ", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    printed = float(capsys.readouterr().out)
+    out = tmp_path / "o.csv"
+    assert main([*shell.replace("\\\n", " ").split(), "--out", str(out)]) == EXIT_OK
+    header, row = _data_lines(out)
+    assert float(row.split(",")[header.split(",").index("rel_l2")]) == printed
+
+
 def test_kernel_writes_grid_and_taps(tmp_path):
     out = tmp_path / "kernel.csv"
     assert main(["kernel", "--a", "2", "--omega", "pi/3", "--gamma", "-6",
@@ -234,7 +246,8 @@ PREDICT_ARGS = ["predict", "--a", "2", "--omega", "pi/3", "--gamma", "-1",
 
 
 @pytest.mark.parametrize("bad_row", ["1.5,0.25,0", "1,abc,0", "1,0.25,",
-                                     "1,nan,0", "1,0.25,inf", "1,-inf,0", "1,1e400,0"])
+                                     "1,nan,0", "1,0.25,inf", "1,-inf,0", "1,1e400,0",
+                                     "1,0.25", "1,0.25,0,0"])
 def test_predict_input_parse_error_names_file_and_row(tmp_path, capsys, bad_row):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"# comment\nt,x_re,x_im\n0,0.5,0\n{bad_row}\n")
@@ -242,6 +255,14 @@ def test_predict_input_parse_error_names_file_and_row(tmp_path, capsys, bad_row)
     assert code == EXIT_PARAMETER
     err = capsys.readouterr().err
     assert str(bad) in err and "line 4" in err and "Traceback" not in err
+
+
+def test_predict_input_with_a_gap_in_t_is_named(tmp_path, capsys):
+    gap = tmp_path / "gap.csv"
+    gap.write_text("t,x_re,x_im\n0,0.5,0\n2,0.25,0\n")
+    code = main([*PREDICT_ARGS, "--input", str(gap), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARAMETER
+    assert f"{gap} rows are not contiguous in t" in capsys.readouterr().err
 
 
 def test_predict_without_signal_names_both_flags(tmp_path, capsys):
@@ -291,7 +312,8 @@ def test_empty_lists_are_refused(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
+# one run of each command that draws a signal
+SIGNAL_ARGVS = [
     ["gen", "--omega", "pi/3", "--length", "64", "--n", "128"],
     ["gen", "--omega", "pi/3", "--nu", "0.1", "--length", "64", "--n", "128"],
     [*PREDICT_ARGS, "--length", "128"],
@@ -301,11 +323,44 @@ def test_empty_lists_are_refused(tmp_path, capsys, argv, flag):
      "--n", "1024", "--m", "256"],
     ["split", "--a", "2", "--omega", "pi/3", "--gamma-low", "-8", "--gamma-high", "0.5",
      "--n", "2048", "--m", "256", "--length", "2048"],
-])
+]
+
+KERNEL_RUN = ["kernel", "--a", "2", "--omega", "pi/3", "--gamma", "-6", "--mode", "low",
+              "--n", "1024", "--m", "64"]
+
+
+@pytest.mark.parametrize("argv", SIGNAL_ARGVS)
 def test_negative_seed_is_named(tmp_path, capsys, argv):
     code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_PARAMETER
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", ["0", "3.2"])
+@pytest.mark.parametrize("argv", [KERNEL_RUN, *SIGNAL_ARGVS])
+def test_every_command_states_the_band_edge_rule_alike(tmp_path, capsys, argv, omega):
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--omega", omega, "--out", str(out)]) == EXIT_PARAMETER
+    assert capsys.readouterr().err == (
+        f"error: band edge must lie strictly inside (0, pi), got {float(omega)}\n")
+    assert not out.exists()
+
+
+def test_unparsable_list_is_refused(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--gamma=a,b",
+              "--n", "1024", "--m", "128", "--length", "512", "--out", str(out)])
+    assert exc.value.code == EXIT_PARAMETER
+    assert "argument --gamma: cannot parse list 'a,b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_csv_without_a_suffix_writes_its_taps_beside_it(tmp_path):
+    assert main([*KERNEL_RUN, "--out", str(tmp_path / "out")]) == EXIT_OK
+    taps = _read(tmp_path / "out.taps").decode().splitlines()
+    assert "# command: kernel-taps" in taps and "t,khat" in taps
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.taps"]
 
 
 def test_exit_codes_live_on_the_error_classes():

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import ParameterError
+from artifact import ParameterError, PredictorParams
 from artifact._engine import group_width
 from artifact.cli import main
-from artifact.extended import WORD_BITS, GUARD_BITS, _constants, exact_causal_sum, words_needed
+from artifact.extended import (WORD_BITS, GUARD_BITS, _constants, exact_causal_sum,
+                               forecast_from_spectrum, words_needed)
 
 FRAC = 180
 
@@ -97,6 +98,18 @@ def test_exact_causal_sum_validates_window():
         exact_causal_sum(taps, x, 1, 4, FRAC)
     with pytest.raises(ParameterError):
         exact_causal_sum(taps, x, 5, 6, FRAC)
+
+
+@pytest.mark.parametrize("size, length, words, named", [
+    (64, 32, 0, "words must be >= 1"),
+    (32, 32, 1, "expected 64 spectrum values"),
+    (64, 0, 1, "signal length must satisfy"),
+    (64, 65, 1, "signal length must satisfy"),
+])
+def test_forecast_from_spectrum_validates_its_inputs(size, length, words, named):
+    params = PredictorParams(omega=math.pi / 2, gamma=-1.0, n=64, m=8, mode="low")
+    with pytest.raises(ParameterError, match=named):
+        forecast_from_spectrum(np.zeros(size), 2.0, params, length, 8, 4, words)
 
 
 def test_words_needed():

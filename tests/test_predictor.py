@@ -52,6 +52,12 @@ def test_tail_len_formula():
         anticausal_tail_len(2.0, tail_tol=0.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, -math.inf])
+def test_tail_len_refuses_an_infinite_pole(a):
+    with pytest.raises(ParameterError, match="pole parameter must be finite"):
+        anticausal_tail_len(a)
+
+
 def test_target_impulse_hand_values():
     # impulse at t=5: y(t) = k(t-5), so y(5)=1/2, y(4)=-1/4, y(6)=0
     vals = np.zeros(64)

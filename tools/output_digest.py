@@ -13,9 +13,10 @@ bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
 `sweep-noise` at nu = 0, which is scored in extended precision, and the
 `fine-grid` and `sweep-long` ladders of bandbench in each mode at one seed
 (the n = 65536 and n = 32768 syntheses), each as CSV and as JSON; then help,
-usage-error and error-exit cases, a non-finite `--input` sample last.  Runs
-take place in a fresh temporary directory with relative paths and a
-pinned terminal width, so the listing depends only on the program.
+usage-error and error-exit cases, a non-finite `--input` sample, and last
+`gen`, `sweep-noise` and `kernel` with a band edge of 0.  Runs take place
+in a fresh temporary directory with relative paths and a pinned terminal
+width, so the listing depends only on the program.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def _usage_cases(commands) -> list[list[str]]:
         [*TEST_10[0], "--out", "run/missing/out.csv"],
         # a non-finite --input sample, named with its file and line
         [*TEST_10[3][:-4], "--input", NONFINITE_INPUT, "--out", "run/out.csv"],
+        # a band edge of 0, refused in the same words by every command
+        *([*TEST_10[i], "--omega", "0", "--out", "run/out.csv"] for i in (1, 5, 0)),
     ]
     return cases
 
