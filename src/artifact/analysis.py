@@ -209,11 +209,11 @@ def noise_sweep(a: float, omega: float, eps: float, nus, n: int, m: int,
     u * ||khat||_1 * ||x||_inf with u = 2**-53.  When that floor exceeds
     FLOOR_FRACTION of the bound the row is checked against,
     (i1 + i2 + nu*i3) / (2*pi), the row is scored in extended precision: the
-    signal is synthesized again from the same spectrum draw, the taps are
-    inverted again and the direct causal sum is evaluated exactly, with the
-    number of float64 words chosen so that the floor falls below that
-    fraction (see `extended`).  Otherwise the float64 path runs unchanged.
-    The row's words field records the choice.
+    signal is synthesized again from the same spectrum draw, the taps come
+    from their z-domain recurrence and the direct causal sum is evaluated
+    exactly, with the number of float64 words chosen so that the floor falls
+    below that fraction (see `extended`).  Otherwise the float64 path runs
+    unchanged.  The row's words field records the choice.
     """
     return noise_sweep_for(budget(a, omega, eps, 0.0, n), nus, m, seed, length)
 

@@ -14,9 +14,7 @@ Python integers with 53*w + GUARD_BITS fractional bits:
 
     synthesis   x(t) = (1/n) sum_j X_j e^{i omega_j t} from the float64
                 spectrum draw, by a radix-2 transform;
-    transfer    Khat = (1 - exp(E)) / (z + a), E = gamma*s*(z+a)/(z+alpha),
-                with exp by argument reduction, Taylor series and squaring;
-    inversion   the taps khat(0) .. khat(M-1) by the same transform;
+    taps        khat(0) .. khat(M-1) by a recurrence in the time domain;
     direct sum  the causal sum over the last M samples, exact.
 
 The direct sum cuts each fixed-point operand into signed b-bit limbs at fixed
@@ -45,9 +43,8 @@ from .kernels import PredictorParams, alpha
 
 WORD_BITS = 53
 
-# Fractional bits beyond the 53*w of w words.  They absorb the error growth of
-# the transforms (log2 n roundings), of exp (a relative error |E| times the
-# absolute error of E) and the scale of signals well below one.
+# Fractional bits beyond the 53*w of w words, for the roundings of the synthesis
+# (log2 n) and of the tap recurrence, and for signals well below one.
 GUARD_BITS = 64
 
 # exp(w) is summed as a Taylor series of w / 2**SQUARINGS and squared back.
@@ -68,11 +65,8 @@ def words_needed(scale: float, allowed: float) -> int:
 
 def _fixed(values, frac: int) -> np.ndarray:
     """float64 values -> Python integers floor(v * 2**frac), exact for |v| >= 2**(52-frac)."""
-    out = []
-    for v in np.asarray(values, dtype=np.float64).tolist():
-        num, den = v.as_integer_ratio()
-        out.append((num << frac) // den)
-    return np.array(out, dtype=object)
+    pairs = (v.as_integer_ratio() for v in np.asarray(values, dtype=np.float64).tolist())
+    return np.array([(num << frac) // den for num, den in pairs], dtype=object)
 
 
 def _round_shift(v, bits: int):
@@ -146,14 +140,12 @@ def _times_pow2(v, exps):
 
 
 def _unit_roots(n: int, frac: int, consts):
-    """e^{2 pi i k/n} for k = 0 .. n-1."""
-    pi = consts[0]
-    half = np.arange(n // 2, dtype=object)
-    wr, wi = _cexp(np.zeros(n // 2, dtype=object), (2 * pi * half) // n, frac, consts)
-    return np.concatenate([wr, -wr]), np.concatenate([wi, -wi])
+    """e^{2 pi i k/n} for k = 0 .. n/2-1."""
+    angles = (2 * consts[0] * np.arange(n // 2, dtype=object)) // n
+    return _cexp(np.zeros(n // 2, dtype=object), angles, frac, consts)
 
 
-def _synthesize(re, im, roots, frac: int):
+def _synthesize(re, im, frac: int):
     """(1/n) sum_j X_j e^{i omega_j t} for t = 0 .. n-1, omega_j = -pi + 2 pi j/n.
 
     e^{i omega_j t} = (-1)^t e^{2 pi i j t/n}: a radix-2 inverse transform in
@@ -161,16 +153,15 @@ def _synthesize(re, im, roots, frac: int):
     """
     n = re.size
     log_n = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.int64)
-    for bit in range(log_n):
-        rev |= ((np.arange(n) >> bit) & 1) << (log_n - 1 - bit)
+    # reversing the axes of (2,) * log_n reverses the bits of each index
+    rev = np.arange(n).reshape((2,) * log_n).T.ravel()
     re, im = re[rev], im[rev]
-    wr_all, wi_all = roots
+    wr_all, wi_all = _unit_roots(n, frac, _constants(frac))
     size = 2
     while size <= n:
         half = size // 2
-        wr = wr_all[: n // 2 : n // size]
-        wi = wi_all[: n // 2 : n // size]
+        wr = wr_all[:: n // size]
+        wi = wi_all[:: n // size]
         re = re.reshape(-1, size)
         im = im.reshape(-1, size)
         tr, ti = _cmul(re[:, half:], im[:, half:], wr, wi, frac)
@@ -181,23 +172,37 @@ def _synthesize(re, im, roots, frac: int):
     return _round_shift(re * sign, log_n), _round_shift(im * sign, log_n)
 
 
-def _predictor_transfer(a: float, params: PredictorParams, roots, frac: int, consts):
-    """Khat = (1 - exp(gamma*s*(z+a)/(z+alpha))) / (z+a) on the grid, z = e^{i omega_j}."""
+def _div(x: int, y: int) -> int:
+    return (2 * x + y) // (2 * y)  # x / y to nearest
+
+
+def _taps(a: float, params: PredictorParams, frac: int) -> list:
+    """khat(0) .. khat(M-1) of Khat = V/(z+a), fixed point with frac bits.
+
+    In w = 1/z, V = 1 - F with F = exp(g(1+aw)/(1+alpha w)), g = gamma*sign(a+alpha), and
+    (1+alpha w)**2 F' = c F with c = g(a-alpha), so (k+1) f(k+1) = (c - 2 alpha k) f(k)
+    - alpha**2 (k-1) f(k-1) from f(0) = e^g, held in ceil(max(0, -g)/log 2) extra bits.
+    (1+aw) Khat = w V gives khat(t-1) = (v(t-1) - khat(t))/a, run back from khat(N) = 0
+    (Miller; Gautschi, SIAM Review 9, 1967) to khat(0) = 0.  The start's error shrinks by
+    1/|a| a step, to below 2**-frac of the largest tap while khat(N) is within 2**64 of it.
+    These are the exact truncated taps; the float64 grid period adds sum_{j>=1} khat(t+jn),
+    which its leak check bounds and which is below 2**-frac at the tests' and goldens' sizes.
+    """
     al = alpha(a, params.omega)
-    sign = 1.0 if a + al > 0 else -1.0
-    fa, fal, fg = _fixed([a, al, sign * params.gamma], frac)
-    zr, zi = -roots[0], -roots[1]
-    # (z+a)/(z+alpha) = ((zr+a)(zr+alpha) + zi^2 + i*zi*(alpha-a)) / |z+alpha|^2
-    den = (zr + fal) * (zr + fal) + zi * zi
-    ratio_r = (((zr + fa) * (zr + fal) + zi * zi) << frac) // den
-    ratio_i = ((zi * (fal - fa)) << frac) // den
-    er, ei = _cexp(_round_shift(fg * ratio_r, frac), _round_shift(fg * ratio_i, frac),
-                   frac, consts)
-    # 1/(z+a) = conj(z+a) / |z+a|^2
-    mod2 = (zr + fa) * (zr + fa) + zi * zi
-    kr = ((zr + fa) << (2 * frac)) // mod2
-    ki = ((-zi) << (2 * frac)) // mod2
-    return _cmul((1 << frac) - er, -ei, kr, ki, frac)
+    g = params.gamma if a + al > 0 else -params.gamma
+    bits = frac + math.ceil(max(0.0, -g) / math.log(2)) + GUARD_BITS
+    size = params.m + math.ceil((frac + GUARD_BITS) / math.log2(abs(a))) + 64
+    (gn, gd), (an, ad), (ln, ld) = (v.as_integer_ratio() for v in (g, a, al))
+    scale = gd * ad * ld * ld  # alpha = ln/ld; c, 2 alpha, alpha**2 times scale are integers
+    cs, al1, al2 = gn * (an * ld - ln * ad) * ld, 2 * ln * gd * ad * ld, ln * ln * gd * ad
+    f = [0, int(_cexp(_fixed([g], bits), np.zeros(1, dtype=object), bits, _constants(bits))[0][0])]
+    for k in range(size - 1):  # f[k+1] is f(k)
+        f.append(_div((cs - k * al1) * f[-1] - (k - 1) * al2 * f[-2], (k + 1) * scale))
+    f[1] -= 1 << bits  # f[t+1] is -v(t) from here
+    h = [0]  # khat(N), khat(N-1), ..
+    for t in range(size - 1, -1, -1):
+        h.append(_div((-f[t + 1] - h[-1]) * ad, an))
+    return [_round_shift(v, bits - frac) for v in h[: -params.m - 1 : -1]]
 
 
 def _limbs(v: np.ndarray, bits: int) -> list:
@@ -233,9 +238,7 @@ def exact_causal_sum(taps, x, start: int, count: int, frac: int) -> np.ndarray:
     for j, sl in enumerate(seg_limbs):
         # tap limb i times signal limb j lands on level i + j
         levels[j : j + len(tap_rows)] += real_rows(sl, tap_rows, count).astype(np.int64)
-    total = np.zeros(count, dtype=object)
-    for s in range(levels.shape[0]):
-        total += levels[s].astype(object) << (bits * s)
+    total = sum(level.astype(object) << (bits * s) for s, level in enumerate(levels))
     return (total / (1 << (2 * frac))).astype(np.float64)
 
 
@@ -244,9 +247,9 @@ def forecast_from_spectrum(spectrum, a: float, params: PredictorParams, length: 
     """Synthesize x on [0, length) and forecast it at start .. start+count-1.
 
     spectrum holds the n grid values X_j (omega ascending from -pi) that
-    define x; the predictor is the plain-pole one for 1/(z+a).  Returns x
-    and the forecast, each rounded once to float64.  Both the signal and the
-    taps are real in exact arithmetic; their imaginary parts are dropped.
+    define x; the predictor is the plain-pole one for 1/(z+a), with the
+    taps of `_taps`.  Returns x and the forecast, each rounded once to
+    float64.  x is real in exact arithmetic; its imaginary part is dropped.
     """
     if words < 1:
         raise ParameterError(f"words must be >= 1, got {words}")
@@ -257,11 +260,6 @@ def forecast_from_spectrum(spectrum, a: float, params: PredictorParams, length: 
     if not 1 <= length <= n:
         raise ParameterError(f"signal length must satisfy 1 <= length <= n, got {length}")
     frac = WORD_BITS * words + GUARD_BITS
-    consts = _constants(frac)
-    roots = _unit_roots(n, frac, consts)
-    x_fx = _synthesize(_fixed(spectrum.real, frac), _fixed(spectrum.imag, frac),
-                       roots, frac)[0][:length]
-    kr, ki = _predictor_transfer(a, params, roots, frac, consts)
-    taps_fx = _synthesize(kr, ki, roots, frac)[0][: params.m]
-    yhat = exact_causal_sum(taps_fx, x_fx, start, count, frac)
+    x_fx = _synthesize(_fixed(spectrum.real, frac), _fixed(spectrum.imag, frac), frac)[0][:length]
+    yhat = exact_causal_sum(_taps(a, params, frac), x_fx, start, count, frac)
     return (x_fx / (1 << frac)).astype(np.float64), yhat

@@ -32,8 +32,8 @@ def anticausal_tail_len(a: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     ceil(log(tail_tol * (|a|-1)) / log(1/|a|)), clamped to be nonnegative;
     the discarded geometric tail is then below tail_tol * ||x||_inf.
     """
-    if tail_tol <= 0:
-        raise ParameterError(f"tail_tol must be positive, got {tail_tol}")
+    if not 0.0 < tail_tol < math.inf:
+        raise ParameterError(f"tail_tol must be positive and finite, got {tail_tol}")
     mag = abs(_check_pole(a))
     val = math.ceil(math.log(tail_tol * (mag - 1.0)) / math.log(1.0 / mag))
     return max(val, 0)

@@ -1,5 +1,6 @@
-"""Extended-precision direct sum: exactness, causality, precision choice."""
+"""Extended-precision scoring: tap recurrence, exact direct sum, causality, precision choice."""
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import ParameterError, PredictorParams
+from artifact import FirstOrderKernel, ParameterError, PredictorParams, alpha, causal_kernel
 from artifact._engine import group_width
 from artifact.cli import main
-from artifact.extended import (WORD_BITS, GUARD_BITS, _constants, exact_causal_sum,
+from artifact.extended import (WORD_BITS, GUARD_BITS, _cexp, _cmul, _constants, _fixed,
+                               _round_shift, _synthesize, _taps, _unit_roots, exact_causal_sum,
                                forecast_from_spectrum, words_needed)
 
 FRAC = 180
@@ -155,3 +157,105 @@ def test_noise_golden_row_scores_without_mpmath(tmp_path, monkeypatch):
     want = next(ln for ln in golden.read_text().splitlines() if ln.startswith("0,"))
     got = out.read_text().splitlines()[-1]
     assert got == want
+
+
+def _grid_period(a, params, frac):
+    """Grid taps in fixed point, the reference for `_taps`: all n of the period.
+
+    Khat = (1 - exp(g(z+a)/(z+alpha))) / (z+a) on the grid z = e^{i omega_j},
+    with the fixed-point complex exp, then the n-point inverse transform.
+    """
+    consts = _constants(frac)
+    wr, wi = _unit_roots(params.n, frac, consts)
+    zr, zi = -np.concatenate([wr, -wr]), -np.concatenate([wi, -wi])
+    al = alpha(a, params.omega)
+    sign = 1.0 if a + al > 0 else -1.0
+    fa, fal, fg = _fixed([a, al, sign * params.gamma], frac)
+    den = (zr + fal) * (zr + fal) + zi * zi
+    ratio_r = (((zr + fa) * (zr + fal) + zi * zi) << frac) // den
+    ratio_i = ((zi * (fal - fa)) << frac) // den
+    er, ei = _cexp(_round_shift(fg * ratio_r, frac), _round_shift(fg * ratio_i, frac),
+                   frac, consts)
+    mod2 = (zr + fa) * (zr + fa) + zi * zi
+    kr = ((zr + fa) << (2 * frac)) // mod2
+    ki = ((-zi) << (2 * frac)) // mod2
+    kr, ki = _cmul((1 << frac) - er, -ei, kr, ki, frac)
+    return [int(v) for v in _synthesize(kr, ki, frac)[0]]
+
+
+def _params(omega, gamma, n, m):
+    return PredictorParams(omega, gamma, n, m, "low" if gamma < 0 else "high")
+
+
+def _max_diff(u, v):
+    return max(abs(int(x) - int(y)) for x, y in zip(u, v))
+
+
+@pytest.mark.parametrize("a, omega, gamma, n, m, words", [
+    (2.0, math.pi / 2, -97.89, 4096, 1024, 3),
+    (2.0, math.pi / 3, -8.0, 4096, 512, 1),
+    (-2.0, math.pi / 3, 8.0, 4096, 512, 1),
+    (2.0, math.pi / 3, -64.0, 8192, 1024, 3),
+])
+def test_recurrence_taps_match_the_grid_taps(a, omega, gamma, n, m, words):
+    # at these sizes the grid's wrap-around sum_{j>=1} khat(t + j*n) is below
+    # 2**-frac, so the grid period is the truncated predictor too
+    frac = WORD_BITS * words + GUARD_BITS
+    params = _params(omega, gamma, n, m)
+    taps = _taps(a, params, frac)
+    grid = _grid_period(a, params, frac)[:m]
+    peak = max(abs(v) for v in grid)
+    assert len(taps) == m
+    assert _max_diff(taps, grid) <= peak >> (frac - 8)
+    assert abs(taps[0]) << frac <= peak
+
+
+@pytest.mark.parametrize("a, omega, gamma, words, size", [
+    # |a| = 1.05: the start sits about 4,100 terms past the last tap at 3 words
+    (1.05, math.pi / 2, -8.0, 3, 4096),
+    # band edges near 0 and pi put |alpha| = 0.996: the taps decay slowly
+    (-2.0, 0.05, -8.0, 1, 32768),
+    (2.0, math.pi - 0.05, 8.0, 1, 32768),
+    # e^g = 2**-369 needs the 370 extra bits of the recurrence
+    (2.0, math.pi / 3, -256.0, 5, 4096),
+])
+def test_recurrence_taps_at_the_edges_of_both_rules(a, omega, gamma, words, size):
+    # size taps fold onto the n = 2048 grid period, sum_j khat(t + j*n); a
+    # short run (M = 128) matches the first taps of the long one, so its
+    # start lies far enough past M
+    n, frac = 2048, WORD_BITS * words + GUARD_BITS
+    long = _taps(a, _params(omega, gamma, size, size), frac)
+    grid = _grid_period(a, _params(omega, gamma, n, 128), frac)
+    peak = max(abs(v) for v in grid)
+    assert _max_diff([sum(long[j::n]) for j in range(n)], grid) <= peak >> (frac - 8)
+    short = _taps(a, _params(omega, gamma, n, 128), frac)
+    assert _max_diff(short, long) <= max(abs(v) for v in short) >> (frac - 8)
+
+
+@pytest.mark.parametrize("gamma, words", [(8.0, 1), (256.0, 5)])
+def test_recurrence_taps_at_alpha_zero_follow_the_closed_form(gamma, words):
+    # -1/cos(pi/3) rounds so that alpha is exactly 0; then F = e^g e^{c w} with
+    # g = -gamma and c = g*a, f(u) = e^g c^u / u!, and khat(t) = v(t-1) - a khat(t-1)
+    # forward from khat(0) = 0, in digits enough to absorb the factor |a|**m
+    a, omega, m = -1.0 / math.cos(math.pi / 3), math.pi / 3, 1024
+    assert alpha(a, omega) == 0.0
+    frac = WORD_BITS * words + GUARD_BITS
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        da, g = decimal.Decimal(a), decimal.Decimal(-gamma)
+        f, h = g.exp(), [decimal.Decimal(0)]
+        for u in range(m - 1):
+            h.append(int(u == 0) - f - da * h[-1])
+            f = f * g * da / (u + 1)
+        want = [int((v * 2 ** frac).to_integral_value()) for v in h]
+    taps = _taps(a, _params(omega, gamma, 2048, m), frac)
+    assert _max_diff(taps, want) <= max(abs(v) for v in want) >> (frac - 8)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -8.0])
+def test_recurrence_taps_agree_with_float64_taps(gamma):
+    params = _params(math.pi / 3, gamma, 2048, 512)
+    frac = WORD_BITS + GUARD_BITS
+    taps = np.array([v / 2 ** frac for v in _taps(2.0, params, frac)])
+    ref = causal_kernel(FirstOrderKernel(2.0), params).values
+    assert np.max(np.abs(taps - ref)) <= 1e-14 * np.max(np.abs(taps))

@@ -58,6 +58,12 @@ def test_tail_len_refuses_an_infinite_pole(a):
         anticausal_tail_len(a)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tail_len_refuses_a_nonfinite_or_negative_tolerance(tol):
+    with pytest.raises(ParameterError, match="tail_tol must be positive and finite"):
+        anticausal_tail_len(2.0, tail_tol=tol)
+
+
 def test_target_impulse_hand_values():
     # impulse at t=5: y(t) = k(t-5), so y(5)=1/2, y(4)=-1/4, y(6)=0
     vals = np.zeros(64)

@@ -14,9 +14,11 @@ bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
 `fine-grid` and `sweep-long` ladders of bandbench in each mode at one seed
 (the n = 65536 and n = 32768 syntheses), each as CSV and as JSON; then help,
 usage-error and error-exit cases, a non-finite `--input` sample, and last
-`gen`, `sweep-noise` and `kernel` with a band edge of 0.  Runs take place
-in a fresh temporary directory with relative paths and a pinned terminal
-width, so the listing depends only on the program.
+`gen`, `sweep-noise` and `kernel` with a band edge of 0.  Two smaller
+`sweep-noise` runs on the extended path, at 3 and 5 words, follow as CSV
+after all of those, so a listing keeps its earlier lines when cases are
+added.  Runs take place in a fresh temporary directory with relative paths
+and a pinned terminal width, so the listing depends only on the program.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ KERNEL_VARIANTS = [
 EXTENDED = [
     ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", "0.1", "--nu", "0",
      "--n", "4096", "--m", "1024", "--seed", "20260819"],
+]
+
+# nu = 0 rows at n = 1024, m = 256 that the precision rule scores with 3
+# (eps = 0.1) and 5 (eps = 0.05) words; listed after every other case
+EXTENDED_SMALL = [
+    ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", eps, "--nu", "0",
+     "--n", "1024", "--m", "256"] for eps in ("0.1", "0.05")
 ]
 
 NONFINITE_INPUT = "nonfinite.csv"
@@ -162,6 +171,8 @@ def main(argv=None) -> int:
                                run_dir))
             for argv in _usage_cases(COMMANDS):
                 print(_run(bandpredict, argv, run_dir))
+            for argv in EXTENDED_SMALL:
+                print(_run(bandpredict, [*argv, "--out", "run/out.csv"], run_dir))
         finally:
             os.chdir(home)
     return 0
