@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, PredictionError
+from .errors import ParameterError
 from .extended import forecast_from_spectrum, words_needed
-from .kernels import (FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, power_order,
-                      psi)
+from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
 from .predictor import (PredictionRun, error_report, forecast, forecast_stack, interior_window,
                         target)
 from .signals import (BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum,
@@ -155,12 +154,10 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
 
     Rows come back in input gamma order.  The target and the transfer grid
     do not depend on gamma, so each is computed once.  The params and taps
-    of every gamma are built first, then one `forecast_stack` call scores
-    them all.  They are built in `kernels.power_order`, so a doubling ladder
-    in any order costs one exp.  A tap's bits depend on its gamma alone, so
-    that order changes no row.  When some gammas cannot be built, every
-    gamma is still tried, and the error of the first in input order is
-    raised.
+    of every gamma are built in input order, then one `forecast_stack` call
+    scores them all.  The grid keeps exp(q*d) (see `kernels`), so a doubling
+    ladder in any order costs one exp.  The first gamma that cannot be built
+    raises its error, and no later gamma is built.
     """
     if sigspec.mode != mode:
         raise ParameterError(
@@ -170,20 +167,12 @@ def gamma_sweep(kernel: FirstOrderKernel, omega: float, mode: str,
     l2x = spectrum_l2(x, n)
     t_a, t_b = interior_window(x, m, kernel.a)
     grid = TransferGrid(kernel, omega, n)
-    gammas = list(gammas)
-    built = [None] * len(gammas)
-    for i in power_order(gammas):
-        try:
-            params = PredictorParams(omega=omega, gamma=gammas[i], n=n, m=m, mode=mode)
-            built[i] = params, causal_kernel(kernel, params, grid)
-        except PredictionError as exc:
-            built[i] = exc
-    for entry in built:
-        if isinstance(entry, PredictionError):
-            raise entry
-    if not built:
+    sweep, tapsets = [], []
+    for gamma in gammas:
+        sweep.append(PredictorParams(omega=omega, gamma=gamma, n=n, m=m, mode=mode))
+        tapsets.append(causal_kernel(kernel, sweep[-1], grid))
+    if not sweep:
         return []
-    sweep, tapsets = zip(*built)
     run = PredictionRun(x, kernel, sweep[0], t_a, t_b)
     y = target(run)
     rows = []

@@ -183,26 +183,38 @@ def _taps(a: float, params: PredictorParams, frac: int) -> list:
     (1+alpha w)**2 F' = c F with c = g(a-alpha), so (k+1) f(k+1) = (c - 2 alpha k) f(k)
     - alpha**2 (k-1) f(k-1) from f(0) = e^g, held in ceil(max(0, -g)/log 2) extra bits.
     (1+aw) Khat = w V gives khat(t-1) = (v(t-1) - khat(t))/a, run back from khat(N) = 0
-    (Miller; Gautschi, SIAM Review 9, 1967) to khat(0) = 0.  The start's error shrinks by
-    1/|a| a step, to below 2**-frac of the largest tap while khat(N) is within 2**64 of it.
+    (Miller; Gautschi, SIAM Review 9, 1967) to khat(0) = 0.  The zero start puts khat(N)
+    (-a)**(t-N) into khat(t), and khat(N) = sum_j v(N+j) (-a)**-(j+1) is about f(N)/a once
+    |f(k) a**-k| falls, past the taps' peak.  So N is the first index past M at which
+    |f(N) a**-N| is 2**(frac+GUARD_BITS) below its largest value on M .. N, and below the
+    largest kept |khat(t) a**(1-M)|, read from the run back from N; while that second test
+    fails, the forward run goes on.  The guard bits absorb the sum over j.
     These are the exact truncated taps; the float64 grid period adds sum_{j>=1} khat(t+jn),
     which its leak check bounds and which is below 2**-frac at the tests' and goldens' sizes.
     """
     al = alpha(a, params.omega)
     g = params.gamma if a + al > 0 else -params.gamma
     bits = frac + math.ceil(max(0.0, -g) / math.log(2)) + GUARD_BITS
-    size = params.m + math.ceil((frac + GUARD_BITS) / math.log2(abs(a))) + 64
+    step = math.log2(abs(a))
     (gn, gd), (an, ad), (ln, ld) = (v.as_integer_ratio() for v in (g, a, al))
     scale = gd * ad * ld * ld  # alpha = ln/ld; c, 2 alpha, alpha**2 times scale are integers
     cs, al1, al2 = gn * (an * ld - ln * ad) * ld, 2 * ln * gd * ad * ld, ln * ln * gd * ad
     f = [0, int(_cexp(_fixed([g], bits), np.zeros(1, dtype=object), bits, _constants(bits))[0][0])]
-    for k in range(size - 1):  # f[k+1] is f(k)
+    k, top, kept = 0, -math.inf, math.inf
+    while True:  # f[k+1] is f(k)
+        weight = f[-1].bit_length() - k * step  # log2 |f(k) a**-k| + bits, to a bit
+        if k >= params.m:
+            top = max(top, weight)
+            if weight <= min(top, kept) - frac - GUARD_BITS:
+                h = [0]  # khat(N), khat(N-1), .. with N = k; v(t) = [t == 0] - f(t)
+                for t in range(k - 1, -1, -1):
+                    h.append(_div(((1 << bits if t == 0 else 0) - f[t + 1] - h[-1]) * ad, an))
+                taps = h[: -params.m - 1 : -1]
+                kept = max(map(abs, taps)).bit_length() - (params.m - 1) * step
+                if weight <= kept - frac - GUARD_BITS:
+                    return [_round_shift(v, bits - frac) for v in taps]
         f.append(_div((cs - k * al1) * f[-1] - (k - 1) * al2 * f[-2], (k + 1) * scale))
-    f[1] -= 1 << bits  # f[t+1] is -v(t) from here
-    h = [0]  # khat(N), khat(N-1), ..
-    for t in range(size - 1, -1, -1):
-        h.append(_div((-f[t + 1] - h[-1]) * ad, an))
-    return [_round_shift(v, bits - frac) for v in h[: -params.m - 1 : -1]]
+        k += 1
 
 
 def _limbs(v: np.ndarray, bits: int) -> list:

@@ -38,11 +38,11 @@ irfft and the damping factor by the power rule below.
 Power rule.  exp(2*gamma*d) = exp(gamma*d)**2, so with gamma = q * 2**k, k
 the largest k >= 0 for which gamma / 2**k is an integer, exp(gamma*d) is
 E_q = exp(q*d) squared k times.  k is 0 for an odd, zero or non-integer
-gamma, which keeps one direct complex exp.  The grid keeps its last power
-and squares it forward when the next gamma has the same q and a k at least
-as large, so an ascending doubling ladder costs one exp per sweep, and
-power_order gives that order for any list of gammas.  The bits depend on
-gamma alone, never on which other gammas share the grid.
+gamma, which keeps one direct complex exp.  The grid keeps E_q beside its
+last power: the next gamma of the same q squares that power forward when
+its k is at least as large, and a copy of E_q otherwise.  So a doubling
+ladder in any order costs one exp, and the bits depend on gamma alone,
+never on which other gammas share the grid or in what order they came.
 """
 
 from __future__ import annotations
@@ -195,15 +195,6 @@ def _power_split(gamma: float) -> tuple[float, int]:
     return q, k
 
 
-def power_order(gammas) -> list[int]:
-    """Indices of gammas in ascending k within each q of gamma = q * 2**k.
-
-    One TransferGrid that inverts them in this order squares its power
-    forward throughout, so it takes one exp per distinct q.
-    """
-    return sorted(range(len(gammas)), key=lambda i: _power_split(gammas[i]))
-
-
 def _check_exponent(direction: np.ndarray, gamma: float) -> None:
     """Refuse gamma when gamma * Re(direction) passes EXP_GUARD on some bin."""
     expo = direction.real * gamma
@@ -219,7 +210,7 @@ def _check_exponent(direction: np.ndarray, gamma: float) -> None:
 
 
 class _Power:
-    """exp(gamma * direction) by the power rule (module docstring), keeping the last (q, k, E).
+    """exp(gamma * direction) by the power rule (module docstring), keeping E_q and the last E.
 
     The guard runs before any exp.  On each bin the moduli of the squares run
     monotonically from |E_q| to the final |E| <= e**700, so none overflows.
@@ -227,6 +218,7 @@ class _Power:
 
     def __init__(self, direction: np.ndarray):
         self.direction = direction
+        self.base = np.empty_like(direction)
         self.values = np.empty_like(direction)
         self.q, self.k = None, 0
 
@@ -236,8 +228,11 @@ class _Power:
         q, k = _power_split(gamma)
         e = self.values
         if q != self.q or k < self.k:
-            np.exp(np.multiply(self.direction, q, out=e), out=e)
-            self.q, self.k = q, 0
+            if q != self.q:
+                np.exp(np.multiply(self.direction, q, out=self.base), out=self.base)
+                self.q = q
+            np.copyto(e, self.base)
+            self.k = 0
         for _ in range(k - self.k):
             np.multiply(e, e, out=e)
         self.k = k
@@ -285,10 +280,10 @@ class TransferGrid:
     s*(z+a)/(z+alpha) on the bins omega_k = 2*pi*k/n, k = 0 .. n/2
     (spectral.half_omegas).  K is read back from one k_transfer call: its
     grid bins n/2 .. n-1, then the conjugate of its bin at -pi.  The grid
-    keeps the last damping power, so damping(gamma) and the invert(gamma)
-    that follows share one exp, as do the gammas of a doubling ladder.  That
-    power is its only state between calls: damping and invert return fresh
-    arrays, and the CLI's heap policy (see `cli`) keeps freed ones resident.
+    keeps E_q and its last power, so damping(gamma) and the invert(gamma)
+    that follows share one exp, as do the gammas of a doubling ladder in any
+    order.  They are its only state between calls: damping and invert return
+    fresh arrays, and the CLI's heap policy (see `cli`) keeps freed ones resident.
     """
 
     def __init__(self, kernel: FirstOrderKernel, omega: float, n: int):
@@ -322,20 +317,9 @@ class TransferGrid:
         return period, math.sqrt(neg / (float(np.sum(sq[: self.n // 2])) + neg))
 
 
-def _invert_predictor(kernel: FirstOrderKernel, params: PredictorParams,
-                      grid: TransferGrid | None = None):
-    """Period of Khat at params.gamma plus the causality leak ratio."""
-    if grid is None:
-        grid = TransferGrid(kernel, params.omega, params.n)
-    elif (grid.kernel, grid.omega, grid.n) != (kernel, params.omega, params.n):
-        raise ParameterError(f"transfer grid was built for {grid.kernel}, omega={grid.omega}, "
-                             f"n={grid.n}, not {kernel}, omega={params.omega}, n={params.n}")
-    return grid.invert(params.gamma)
-
-
 def causality_leak_ratio(kernel: FirstOrderKernel, params: PredictorParams) -> float:
     """Relative l2 mass the grid inversion of Khat leaks onto t < 0."""
-    return _invert_predictor(kernel, params)[1]
+    return TransferGrid(kernel, params.omega, params.n).invert(params.gamma)[1]
 
 
 def causal_kernel(kernel: FirstOrderKernel, params: PredictorParams,
@@ -353,7 +337,12 @@ def causal_kernel(kernel: FirstOrderKernel, params: PredictorParams,
         raise GridSizeError(
             f"truncation length {params.m} exceeds the causal half of the grid ({params.n // 2})"
         )
-    period, leak = _invert_predictor(kernel, params, grid)
+    if grid is None:
+        grid = TransferGrid(kernel, params.omega, params.n)
+    elif (grid.kernel, grid.omega, grid.n) != (kernel, params.omega, params.n):
+        raise ParameterError(f"transfer grid was built for {grid.kernel}, omega={grid.omega}, "
+                             f"n={grid.n}, not {kernel}, omega={params.omega}, n={params.n}")
+    period, leak = grid.invert(params.gamma)
     if not leak <= CAUSALITY_TOL:  # a period that overflowed gives nan
         raise CausalityLeakError(
             f"negative-index leak ratio {leak:.3e} exceeds {CAUSALITY_TOL:.0e}; "
@@ -364,5 +353,5 @@ def causal_kernel(kernel: FirstOrderKernel, params: PredictorParams,
 
 def tap_l1_tail(kernel: FirstOrderKernel, params: PredictorParams) -> float:
     """l1 mass of the causal taps discarded beyond M, for truncation reporting."""
-    period, _ = _invert_predictor(kernel, params)
+    period, _ = TransferGrid(kernel, params.omega, params.n).invert(params.gamma)
     return float(np.sum(np.abs(period[params.m : params.n // 2])))

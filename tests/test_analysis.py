@@ -226,6 +226,47 @@ def test_gamma_sweep_raises_for_the_first_failing_gamma_in_input_order(gammas, f
     assert str(got.value) == str(want.value)
 
 
+def test_gamma_sweep_builds_nothing_past_the_first_failing_gamma(monkeypatch):
+    # -3072 saturates at n = 256; the gammas after it are never built
+    import artifact.analysis
+
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 256, 32
+    calls = []
+
+    def counting_causal_kernel(*args, **kwargs):
+        calls.append(args[1].gamma)
+        return causal_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(artifact.analysis, "causal_kernel", counting_causal_kernel)
+    with pytest.raises(SaturationError):
+        gamma_sweep(kernel, omega, "low", BandSignalSpec(omega=omega, mode="low", length=256,
+                                                         seed=3), [-3072.0, -1.0, -2.0], n, m)
+    assert calls == [-3072.0]
+
+
+def test_shuffled_ladder_evaluates_one_exp_and_reorders_the_rows(monkeypatch):
+    from artifact.spectral import unit_circle_half
+
+    kernel, omega, n, m = FirstOrderKernel(2.0), PI / 3, 8192, 1024
+    spec = BandSignalSpec(omega=omega, mode="low", length=4008, seed=13)
+    ascending = [-(2.0 ** k) for k in range(9)]
+    shuffled = [-4.0, -1.0, -16.0, -2.0, -256.0, -8.0, -64.0, -32.0, -128.0]
+    up = gamma_sweep(kernel, omega, "low", spec, ascending, n, m)
+    unit_circle_half(n)  # the cached exp(i*omega), built before counting
+    exp = np.exp
+    sizes = []
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    rows = gamma_sweep(kernel, omega, "low", spec, shuffled, n, m)
+    assert sizes.count(n // 2 + 1) == 1
+    assert [r.gamma for r in rows] == shuffled
+    assert _bits(rows) == _bits([up[ascending.index(g)] for g in shuffled])
+
+
 def test_gamma_sweep_of_no_gammas_is_empty():
     assert gamma_sweep(FirstOrderKernel(2.0), PI / 3, "low",
                        BandSignalSpec(omega=PI / 3, mode="low", length=512, seed=3),

@@ -232,12 +232,11 @@ def test_recurrence_taps_at_the_edges_of_both_rules(a, omega, gamma, words, size
     assert _max_diff(short, long) <= max(abs(v) for v in short) >> (frac - 8)
 
 
-@pytest.mark.parametrize("gamma, words", [(8.0, 1), (256.0, 5)])
-def test_recurrence_taps_at_alpha_zero_follow_the_closed_form(gamma, words):
+def _alpha_zero_check(gamma, words, m):
     # -1/cos(pi/3) rounds so that alpha is exactly 0; then F = e^g e^{c w} with
     # g = -gamma and c = g*a, f(u) = e^g c^u / u!, and khat(t) = v(t-1) - a khat(t-1)
     # forward from khat(0) = 0, in digits enough to absorb the factor |a|**m
-    a, omega, m = -1.0 / math.cos(math.pi / 3), math.pi / 3, 1024
+    a, omega = -1.0 / math.cos(math.pi / 3), math.pi / 3
     assert alpha(a, omega) == 0.0
     frac = WORD_BITS * words + GUARD_BITS
     with decimal.localcontext() as ctx:
@@ -250,6 +249,27 @@ def test_recurrence_taps_at_alpha_zero_follow_the_closed_form(gamma, words):
         want = [int((v * 2 ** frac).to_integral_value()) for v in h]
     taps = _taps(a, _params(omega, gamma, 2048, m), frac)
     assert _max_diff(taps, want) <= max(abs(v) for v in want) >> (frac - 8)
+
+
+@pytest.mark.parametrize("gamma, words", [(8.0, 1), (256.0, 5)])
+def test_recurrence_taps_at_alpha_zero_follow_the_closed_form(gamma, words):
+    _alpha_zero_check(gamma, words, 1024)
+
+
+@pytest.mark.parametrize("words", [5, 9])
+def test_recurrence_taps_start_past_a_peak_beyond_the_last_tap(words):
+    # at gamma = 256, f(u) = e^g c^u / u! peaks near u = c = 512, far past M = 128; a start
+    # a fixed distance past M was off by 2**99.9 (5 words) and 2**8.4 (9 words) units
+    _alpha_zero_check(256.0, words, 128)
+
+
+def test_short_run_past_the_peak_matches_the_long_run():
+    # high gamma = 256 at a = -2 puts the taps' peak near u = 511; M = 128 must match
+    # the first taps of an M = 4096 run, whose start lies past that peak
+    frac = WORD_BITS * 9 + GUARD_BITS
+    long = _taps(-2.0, _params(math.pi / 3, 256.0, 8192, 4096), frac)
+    short = _taps(-2.0, _params(math.pi / 3, 256.0, 8192, 128), frac)
+    assert _max_diff(short, long) <= max(abs(v) for v in short) >> (frac - 8)
 
 
 @pytest.mark.parametrize("gamma", [-1.0, -8.0])

@@ -212,6 +212,11 @@ def test_v_alpha_domain():
         v_transfer(2.0, 1.0, -1.0, 32)
 
 
+def test_psi_alpha_domain():
+    with pytest.raises(ParameterError, match=r"\|alpha\| must be < 1"):
+        psi(2.0, 1.0, 0.5)
+
+
 # ---------------------------------------------------------- causal kernel
 
 def test_predictor_transfer_is_product():

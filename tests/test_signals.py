@@ -130,6 +130,11 @@ def test_spec_validation():
         NoisySpectrumSpec(omega=1.0, nu=-0.1, seed=0, length=8)
 
 
+def test_noisy_spectrum_spec_refuses_an_empty_signal():
+    with pytest.raises(ParameterError, match="length must be >= 1"):
+        NoisySpectrumSpec(omega=1.0, nu=0.1, seed=0, length=0)
+
+
 def test_noisy_spectrum_envelope():
     n = 512
     spec = NoisySpectrumSpec(omega=PI / 2, nu=0.05, seed=8, length=n)
