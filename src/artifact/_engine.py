@@ -13,15 +13,32 @@ and the parts are recombined in one place.
 `real_rows` is the one real product under every direct sum, this one and
 `extended.exact_causal_sum`'s limb sum alike.  One row goes through
 `np.convolve` over the exact window.  Several rows read each input window
-once for all of them: fixed blocks of b consecutive windows are copied into
-one reused (b, m) buffer, the last block padded with zero rows, and each
-block is multiplied by the stack in one `np.matmul`.  b = block_rows(m)
-depends on m only, never on the number of outputs, so every product has the
-same shape and an output's bits do not depend on how many outputs the call
-computes.  A product takes at most group_width(m) rows of the stack, so
-b * rows * m stays near 10**6: past that, OpenBLAS 0.3.31 leaves its
-small-matrix kernel.  On a 2-CPU x86-64 host, 16 tapsets at m = 4096 over
-4056 outputs took 37-47 ms as one product and 29-36 ms in groups of 15 and 1.
+once for all of them: the outputs fall into fixed blocks of b consecutive
+windows, and each block, a (b, m) operand, is multiplied by the stack.  A
+block comes from one of two sources, chosen by m alone:
+
+- where 2b <= m (every m >= 181), b shifted rows are filled once per chunk
+  of outputs, row r holding the samples from r on, zero past the end.
+  Block j of the chunk is columns j*b .. j*b+m-1 of those rows, a view
+  whose row stride is at least m, which BLAS reads where it lies; one
+  batched `np.matmul` multiplies every block of the chunk and no window is
+  copied.  A chunk is the smallest multiple of b that is >= max(m, 4096)
+  outputs, so the rows and the chunk's samples take under
+  (b + 1) * (chunk + m) doubles whatever the output count: 1.1 MB at
+  m = 4096 and at most 3.1 MB for any m <= 4096;
+- below that, each block's windows are copied into one reused (b, m)
+  buffer, the last block padded with zero rows, and multiplied in one
+  `np.matmul`: a copied block writes b*m doubles per b outputs and the
+  shifted rows b*b, so at 2b > m the rows do not repay their set-up.
+
+b = block_rows(m) depends on m only, never on the number of outputs, and so
+does the chunk, so every product has the same (b, m) @ (m, rows) shape and
+an output's bits do not depend on how many outputs the call computes or on
+which source its block came from.  A product takes at most group_width(m)
+rows of the stack, so b * rows * m stays near 10**6: past that, OpenBLAS
+0.3.31 leaves its small-matrix kernel.  On a 2-CPU x86-64 host, 16 tapsets
+at m = 4096 over 4056 outputs took 30-38 ms as one product and 20-25 ms in
+groups of 15 and 1 (medians of 30 calls, five runs).
 """
 
 import numpy as np
@@ -73,26 +90,53 @@ def _real_parts(values):
 def real_rows(seg, rows, count):
     """out[p, i] = sum_u rows[p, u] * seg[i + m - 1 - u] for i < count, as a (P, count) array.
 
-    seg holds count + m - 1 real samples and rows a (P, m) real stack.
+    seg holds count + m - 1 real samples and rows a (P, m) real stack.  A
+    stack of two or more rows is multiplied block by block, b = block_rows(m)
+    windows at a time: where 2b <= m each block is read in place from b
+    shifted rows filled once per chunk of outputs (the smallest multiple of b
+    that is >= max(m, 4096)), and below that it is copied into one reused
+    (b, m) buffer.
     """
     p, m = rows.shape
     if p == 1:
         return np.convolve(seg, rows[0], "valid")[None, :]
     b, width = block_rows(m), group_width(m)
-    windows = sliding_window_view(seg, m)
+    blocks = -(-count // b)
     # column p of weights is row p reversed, so a window times it is row p's sum
     weights = np.ascontiguousarray(rows[:, ::-1]).T
     groups = [weights[:, c : c + width] for c in range(0, p, width)]
-    outs = [np.empty((-(-count // b) * b, group.shape[1])) for group in groups]
-    block = np.zeros((b, m))
-    for i in range(0, count, b):
-        filled = min(b, count - i)
-        block[:filled] = windows[i : i + filled]
-        if filled < b:
-            block[filled:] = 0.0
-        for group, out in zip(groups, outs):
-            np.matmul(block, group, out=out[i : i + b])
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))[:count].T
+    outs = [np.empty((blocks, b, group.shape[1])) for group in groups]
+    if 2 * b > m:
+        # per b outputs a copied block writes b*m doubles and shifted rows
+        # b*b, so below m = 2b the rows' set-up per chunk is not paid back
+        windows = sliding_window_view(seg, m)
+        block = np.zeros((b, m))
+        for i in range(0, count, b):
+            filled = min(b, count - i)
+            block[:filled] = windows[i : i + filled]
+            if filled < b:
+                block[filled:] = 0.0
+            for group, out in zip(groups, outs):
+                np.matmul(block, group, out=out[i // b])
+    else:
+        # padded holds the samples a chunk's windows read, zero past the end
+        # of seg; row r of shifted holds them from r on, so columns
+        # j*b .. j*b+m-1 of its b rows are the windows of the chunk's block j,
+        # read in place with a row stride of at least m
+        chunk = -(-max(m, 4096) // b) * b
+        padded = np.empty(min(chunk, blocks * b) + m - 1)
+        shifted = np.empty((b, len(padded) - b + 1))
+        for c in range(0, count, chunk):
+            part = seg[c : c + len(padded)]
+            padded[: len(part)] = part
+            padded[len(part) :] = 0.0
+            shifted[:] = sliding_window_view(padded, shifted.shape[1])
+            k, n = c // b, -(-min(chunk, count - c) // b)
+            views = sliding_window_view(shifted, m, axis=1)[:, : n * b : b].transpose(1, 0, 2)
+            for group, out in zip(groups, outs):
+                np.matmul(views, group, out=out[k : k + n])
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+    return out.reshape(blocks * b, p)[:count].T
 
 
 def windowed_dot(taps, x, start, count, stride):

@@ -176,8 +176,8 @@ def _bits(rows):
 
 @pytest.mark.parametrize("a, mode, sign", [(2.0, "low", -1.0), (-2.0, "high", 1.0)])
 def test_descending_ladder_gives_the_ascending_rows(a, mode, sign):
-    # the taps are built in ascending k whatever the input order, and a
-    # tap's bits depend on its gamma alone
+    # the taps are built in input order, a descending ladder squaring from a
+    # copy of exp(q*d) at each gamma, and a tap's bits depend on its gamma alone
     kernel, omega, n, m = FirstOrderKernel(a), PI / 3, 8192, 1024
     spec = BandSignalSpec(omega=omega, mode=mode, length=4008, seed=13)
     ascending = [sign * 2.0 ** k for k in range(9)]
@@ -206,7 +206,8 @@ def test_descending_ladder_evaluates_one_exp(monkeypatch):
 
 
 @pytest.mark.parametrize("gammas, first", [
-    # -3072 = -3 * 2**10 is built before the q = -1 ladder and saturates; -128 leaks
+    # at n = 256, -3072 = -3 * 2**10 saturates and -128 leaks; the gammas are
+    # built in input order, and each list's first failure sits at index 1
     ([-1.0, -3072.0, -128.0], 1),
     ([-1.0, -128.0, -3072.0], 1),
     ([-1.0, -3072.0, 2.0], 1),

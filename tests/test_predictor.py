@@ -1,6 +1,7 @@
 """Prediction runs: window bookkeeping, oracles, causality, the convolution engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from artifact import (
     lq_grid_norm,
     target,
 )
-from artifact._engine import block_rows, group_width, windowed_dot
+from artifact._engine import block_rows, group_width, real_rows, windowed_dot
 
 PI = math.pi
 
@@ -180,6 +181,88 @@ def test_forecast_stack_reads_only_past():
                 for again, want in zip(forecast_stack(run, tapsets), ref):
                     assert np.array_equal(again.values[: probe - t_a + 1],
                                           want.values[: probe - t_a + 1]), (width, probe, stop)
+
+
+def _chunk(m):
+    """Outputs per fill of the shifted rows: the smallest multiple of b >= max(m, 4096)."""
+    b = block_rows(m)
+    return -(-max(m, 4096) // b) * b
+
+
+def _block_copy_rows(seg, rows, count):
+    """real_rows as one copied (b, m) block of windows per b outputs: the reference."""
+    p, m = rows.shape
+    b, width = block_rows(m), group_width(m)
+    windows = np.lib.stride_tricks.sliding_window_view(seg, m)
+    weights = np.ascontiguousarray(rows[:, ::-1]).T
+    groups = [weights[:, c : c + width] for c in range(0, p, width)]
+    outs = [np.empty((-(-count // b) * b, group.shape[1])) for group in groups]
+    block = np.zeros((b, m))
+    for i in range(0, count, b):
+        filled = min(b, count - i)
+        block[:filled] = windows[i : i + filled]
+        if filled < b:
+            block[filled:] = 0.0
+        for group, out in zip(groups, outs):
+            np.matmul(block, group, out=out[i : i + b])
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))[:count].T
+
+
+@pytest.mark.parametrize("m", [180, 181, 256, 1024, 4096])
+def test_real_rows_matches_the_block_copy_bit_for_bit(m):
+    # m = 180 copies its blocks (2b > m) and m >= 181 reads them in place from
+    # shifted rows; counts sit at a block's and a chunk's edges and past two
+    # chunks, and 16 and 31 rows at m = 4096 run in two and three groups
+    rng = np.random.default_rng(m)
+    b, chunk = block_rows(m), _chunk(m)
+    assert (2 * b <= m) == (m >= 181)
+    for g in (2, 9, 16, 31):
+        rows = rng.standard_normal((g, m))
+        for count in (1, b - 1, b, b + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            seg = rng.standard_normal(count + m - 1)
+            got = real_rows(seg, rows, count)
+            assert got.shape == (g, count)
+            assert np.array_equal(got, _block_copy_rows(seg, rows, count)), (g, count)
+
+
+def test_forecast_stack_reads_only_past_across_a_chunk():
+    # m = 256 reads its blocks from shifted rows filled once per 4096 outputs;
+    # probes on both sides of that edge keep their bits when every later
+    # sample changes, whether the window stops at the probe or not
+    rng = np.random.default_rng(31)
+    kern, m = FirstOrderKernel(2.0), 256
+    x = Signal(0, rng.standard_normal(4600))
+    sweep = [PredictorParams(omega=PI / 3, gamma=g, n=4096, m=m, mode="low")
+             for g in (-1.0, -4.0, -8.0)]
+    tapsets = [causal_kernel(kern, p) for p in sweep]
+    t_a, t_b = interior_window(x, m, kern.a)
+    ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
+    assert _chunk(m) == 4096 and len(ref[0]) > 4096
+    for probe in (t_a + 63, t_a + 4095, t_a + 4096, t_a + 4100, t_b - 1):
+        mutated = x.values.copy()
+        mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
+        for stop in (probe, t_b):
+            run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
+            for again, want in zip(forecast_stack(run, tapsets), ref):
+                assert np.array_equal(again.values[: probe - t_a + 1],
+                                      want.values[: probe - t_a + 1]), (probe, stop)
+
+
+def test_real_rows_memory_does_not_grow_with_the_output_count():
+    # the shifted rows depend on m alone: 16 rows of 5,104 doubles at
+    # m = 1024, where rows as long as the input would take 12.9 MB here
+    m, count, g = 1024, 100_000, 9
+    rng = np.random.default_rng(37)
+    rows, seg = rng.standard_normal((g, m)), rng.standard_normal(count + m - 1)
+    output = -(-count // block_rows(m)) * block_rows(m) * g * 8
+    tracemalloc.start()
+    try:
+        out = real_rows(seg, rows, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (g, count)
+    assert peak < output + 2 * 2**20, (peak - output) / 2**20
 
 
 def test_prediction_error_shrinks_with_damping():

@@ -16,8 +16,10 @@ bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
 usage-error and error-exit cases, a non-finite `--input` sample, and last
 `gen`, `sweep-noise` and `kernel` with a band edge of 0.  Two smaller
 `sweep-noise` runs on the extended path, at 3 and 5 words, follow as CSV
-after all of those, so a listing keeps its earlier lines when cases are
-added.  Runs take place in a fresh temporary directory with relative paths
+after all of those, and then two `sweep-gamma` ladders at m = 256 and
+m = 1024 whose 7,896 and 4,936 outputs cross the engine's 4,096-output
+chunk of shifted rows; new cases go last, so a listing keeps its earlier
+lines.  Runs take place in a fresh temporary directory with relative paths
 and a pinned terminal width, so the listing depends only on the program.
 """
 
@@ -67,6 +69,15 @@ EXTENDED = [
 EXTENDED_SMALL = [
     ["sweep-noise", "--a", "2", "--omega", "pi/2", "--eps", eps, "--nu", "0",
      "--n", "1024", "--m", "256"] for eps in ("0.1", "0.05")
+]
+
+# ladders whose stacked products run past one chunk of the engine's shifted
+# rows (4,096 outputs at m = 256 and m = 1024); listed last
+CHUNKED = [
+    ["sweep-gamma", "--a", "2", "--omega", "pi/3", "--mode", "low", "--gamma=-1,-2,-4,-8",
+     "--n", "16384", "--m", "256", "--length", "8192", "--seed", "7"],
+    ["sweep-gamma", "--a", "-2", "--omega", "pi/3", "--mode", "high", "--gamma=1,2,4,8",
+     "--n", "8192", "--m", "1024", "--length", "6000", "--seed", "7"],
 ]
 
 NONFINITE_INPUT = "nonfinite.csv"
@@ -171,7 +182,7 @@ def main(argv=None) -> int:
                                run_dir))
             for argv in _usage_cases(COMMANDS):
                 print(_run(bandpredict, argv, run_dir))
-            for argv in EXTENDED_SMALL:
+            for argv in EXTENDED_SMALL + CHUNKED:
                 print(_run(bandpredict, [*argv, "--out", "run/out.csv"], run_dir))
         finally:
             os.chdir(home)
