@@ -28,8 +28,12 @@ block comes from one of two sources, chosen by m alone:
   m = 4096 and at most 3.1 MB for any m <= 4096;
 - below that, each block's windows are copied into one reused (b, m)
   buffer, the last block padded with zero rows, and multiplied in one
-  `np.matmul`: a copied block writes b*m doubles per b outputs and the
-  shifted rows b*b, so at 2b > m the rows do not repay their set-up.
+  `np.matmul`.  There the shifted rows would take b * (chunk + m - b)
+  doubles, 4.2 MB at m = 128 and 25 MB at m = 16, against the copy's
+  b * m, and on a 2-CPU x86-64 host they measured slower: 1.1-2x the
+  copy's time at m = 128 and 129 with 9 tapsets over 300 to 40,000
+  outputs (medians of 11, four runs), about even at m = 180 and 181, and
+  0.6-0.9x from m = 256 on.
 
 b = block_rows(m) depends on m only, never on the number of outputs, and so
 does the chunk, so every product has the same (b, m) @ (m, rows) shape and
@@ -107,8 +111,8 @@ def real_rows(seg, rows, count):
     groups = [weights[:, c : c + width] for c in range(0, p, width)]
     outs = [np.empty((blocks, b, group.shape[1])) for group in groups]
     if 2 * b > m:
-        # per b outputs a copied block writes b*m doubles and shifted rows
-        # b*b, so below m = 2b the rows' set-up per chunk is not paid back
+        # shifted rows measured slower here and would grow to b*(chunk+m-b)
+        # doubles as m shrinks (see the module docstring)
         windows = sliding_window_view(seg, m)
         block = np.zeros((b, m))
         for i in range(0, count, b):

@@ -141,46 +141,52 @@ def test_forecast_reads_only_past():
     assert np.array_equal(again.values, ref.values[: probe - run.eval_start + 1])
 
 
+def _assert_stack_reads_only_past(x, kern, sweep, offsets, rng):
+    """Outputs up to each probe, t_a + offset or t_b - 1, keep their bits when
+    every later sample changes, whether the window stops at the probe or not."""
+    tapsets = [causal_kernel(kern, p) for p in sweep]
+    t_a, t_b = interior_window(x, sweep[0].m, kern.a)
+    ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
+    for probe in [t_a + offset for offset in offsets] + [t_b - 1]:
+        mutated = x.values.copy()
+        mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
+        for stop in (probe, t_b):
+            run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
+            for again, want in zip(forecast_stack(run, tapsets), ref):
+                assert np.array_equal(again.values[: probe - t_a + 1],
+                                      want.values[: probe - t_a + 1]), (len(sweep), probe, stop)
+    return ref
+
+
 def test_forecast_stack_reads_only_past():
     # the stacked twin: m = 1024 makes blocks of 16 windows, and cutting the
     # window moves the last block's padding, so an output that depended on
     # the number of outputs computed (a block size taken from count) would
     # change its bits below
     rng = np.random.default_rng(29)
-    x = Signal(0, rng.standard_normal(2100))
     kern = FirstOrderKernel(2.0)
-    sweep = [PredictorParams(omega=PI / 3, gamma=g, n=4096, m=1024, mode="low")
-             for g in (-1.0, -4.0, -8.0)]
-    tapsets = [causal_kernel(kern, p) for p in sweep]
-    t_a, t_b = interior_window(x, 1024, kern.a)
-    ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
+
+    def ladder(m, n, gammas):
+        return [PredictorParams(omega=PI / 3, gamma=g, n=n, m=m, mode="low") for g in gammas]
+
+    x = Signal(0, rng.standard_normal(2100))
+    ref = _assert_stack_reads_only_past(x, kern, ladder(1024, 4096, (-1.0, -4.0, -8.0)),
+                                        (0, 5, 15, 16, 100, 517), rng)
     assert block_rows(1024) == 16 and len(ref) == 3 and len(ref[0]) > 16 * 60
-    for probe in (t_a, t_a + 5, t_a + 15, t_a + 16, t_a + 100, t_a + 517, t_b - 1):
-        mutated = x.values.copy()
-        mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
-        for stop in (probe, t_b):  # cut the window at the probe, or keep it whole
-            run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
-            for again, want in zip(forecast_stack(run, tapsets), ref):
-                assert np.array_equal(again.values[: probe - t_a + 1],
-                                      want.values[: probe - t_a + 1]), (probe, stop)
     # stacks wider than one product: m = 4096 takes group_width = 15 tapsets
     # per matmul, so 16, 17 and 31 tapsets run in two and three groups
     assert group_width(4096) == 15
     x = Signal(0, rng.standard_normal(4096 + 300))
-    t_a, t_b = interior_window(x, 4096, kern.a)
     for width in (16, 17, 31):
-        sweep = [PredictorParams(omega=PI / 3, gamma=-1.0 - 0.5 * i, n=8192, m=4096, mode="low")
-                 for i in range(width)]
-        tapsets = [causal_kernel(kern, p) for p in sweep]
-        ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
-        for probe in (t_a, t_a + 15, t_a + 16, t_a + 100, t_b - 1):
-            mutated = x.values.copy()
-            mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
-            for stop in (probe, t_b):
-                run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
-                for again, want in zip(forecast_stack(run, tapsets), ref):
-                    assert np.array_equal(again.values[: probe - t_a + 1],
-                                          want.values[: probe - t_a + 1]), (width, probe, stop)
+        _assert_stack_reads_only_past(
+            x, kern, ladder(4096, 8192, [-1.0 - 0.5 * i for i in range(width)]),
+            (0, 15, 16, 100), rng)
+    # m = 256 reads its blocks from shifted rows filled once per 4096
+    # outputs; the probes sit on both sides of that edge
+    x = Signal(0, rng.standard_normal(4600))
+    ref = _assert_stack_reads_only_past(x, kern, ladder(256, 4096, (-1.0, -4.0, -8.0)),
+                                        (63, 4095, 4096, 4100), rng)
+    assert _chunk(256) == 4096 and len(ref[0]) > 4096
 
 
 def _chunk(m):
@@ -223,29 +229,6 @@ def test_real_rows_matches_the_block_copy_bit_for_bit(m):
             got = real_rows(seg, rows, count)
             assert got.shape == (g, count)
             assert np.array_equal(got, _block_copy_rows(seg, rows, count)), (g, count)
-
-
-def test_forecast_stack_reads_only_past_across_a_chunk():
-    # m = 256 reads its blocks from shifted rows filled once per 4096 outputs;
-    # probes on both sides of that edge keep their bits when every later
-    # sample changes, whether the window stops at the probe or not
-    rng = np.random.default_rng(31)
-    kern, m = FirstOrderKernel(2.0), 256
-    x = Signal(0, rng.standard_normal(4600))
-    sweep = [PredictorParams(omega=PI / 3, gamma=g, n=4096, m=m, mode="low")
-             for g in (-1.0, -4.0, -8.0)]
-    tapsets = [causal_kernel(kern, p) for p in sweep]
-    t_a, t_b = interior_window(x, m, kern.a)
-    ref = forecast_stack(PredictionRun(x, kern, sweep[0], t_a, t_b), tapsets)
-    assert _chunk(m) == 4096 and len(ref[0]) > 4096
-    for probe in (t_a + 63, t_a + 4095, t_a + 4096, t_a + 4100, t_b - 1):
-        mutated = x.values.copy()
-        mutated[probe + 1 :] += rng.standard_normal(len(mutated) - probe - 1)
-        for stop in (probe, t_b):
-            run = PredictionRun(Signal(0, mutated), kern, sweep[0], t_a, stop)
-            for again, want in zip(forecast_stack(run, tapsets), ref):
-                assert np.array_equal(again.values[: probe - t_a + 1],
-                                      want.values[: probe - t_a + 1]), (probe, stop)
 
 
 def test_real_rows_memory_does_not_grow_with_the_output_count():

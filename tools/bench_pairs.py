@@ -1,13 +1,13 @@
 """Alternating benchmark pairs of two checkouts, summarised in one JSON file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json
-        [--pairs 5] [--seconds S] [--seed 1101] [--workload NAME ...]
+        [--pairs 10] [--seed 1101] [--workload NAME ...]
 
 Runs `bandbench/run.py --trace 0` of each checkout from that checkout's root,
 in pairs: pair i runs both sides on seed SEED + i, and the side that runs
-first alternates from pair to pair (the parent first in pair 0).  The run
-length defaults to `run_seconds` of CHANGE's BENCHMARK.json, and the
-workloads and end-to-end metrics are those it lists.
+first alternates from pair to pair (the parent first in pair 0).  Every run
+lasts `run_seconds` of CHANGE's BENCHMARK.json, and the workloads and
+end-to-end metrics are those it lists.
 
 The file holds, for each workload, side and end-to-end metric, every run's
 value with their median, min and interquartile range; for each workload and
@@ -76,8 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1101)
     parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
 
