@@ -17,7 +17,12 @@ doubles; JSON numbers are the shortest repr that round-trips, as `json`
 writes them.  '#' header lines echo the parsed flags in their declaration
 order, then what the command computed, and identical flags always reproduce
 identical bytes.  Tables are built from columns and formatted in bulk: one
-%-format per CSV row, one C-encoder call per JSON table.
+%-format per CSV row, one C-encoder call per JSON table.  The `kernel` grid
+table formats its n/2+1 distinct bins, omega = 0 .. pi, once.  K, V and Khat
+are Hermitian and psi is even, so its row at -omega is the row at omega
+with the text of omega and of each imaginary part negated: a leading "-"
+dropped, else one prepended.  That is exact for every finite double, +-0
+included, and causal_kernel refuses a non-finite period before any output.
 Exit codes come from the error classes (see `errors`): 0 ok, 2 parameter,
 3 signal too short for the history and anticausal tail a window needs,
 4 causality leak, 5 I/O, 6 saturation, 1 anything else, an allocation too
@@ -62,7 +67,7 @@ from .errors import (
 from .kernels import FirstOrderKernel, PredictorParams, TransferGrid, causal_kernel, psi
 from .predictor import PredictionRun, error_report, forecast, interior_window, target
 from .signals import BandSignalSpec, NoisySpectrumSpec, gen_band_signal, gen_noisy_spectrum
-from .spectral import Signal, grid_omegas, mirror_half, norm, spectrum_l2
+from .spectral import Signal, half_omegas, norm, spectrum_l2
 
 FORMAT_VERSION = "1"
 
@@ -180,22 +185,24 @@ def _columns(*columns) -> list[tuple]:
 
 
 def _csv_document(command: str, config: list[tuple[str, object]],
-                  columns: list[str], rows: list[tuple]) -> list[str]:
+                  columns: list[str], rows: list) -> list[str]:
     lines = [f"# format-version: {FORMAT_VERSION}", f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}={value}")
     lines.append(",".join(columns))
-    if rows:
+    if rows and not isinstance(rows[0], str):  # else lines rendered by _grid_rows
         # the text of _fmt, one %-format per row: %d for integer columns
         row_format = ",".join("%d" if isinstance(cell, (int, np.integer)) else "%.17g"
                               for cell in rows[0])
-        lines += map(row_format.__mod__, rows)
+        rows = map(row_format.__mod__, rows)
+    lines += rows
     return lines
 
 
-def _json_rows(rows: list[tuple], depth: int) -> str:
+def _json_rows(rows: list, depth: int) -> str:
     """`rows` laid out as json.dumps(..., indent=2) lays out a list at nesting `depth`.
 
+    Rows given as text are laid out for that depth already (see _grid_rows).
     indent= selects json's pure-Python encoder; the C encoder writes the same
     number tokens, so the rows are encoded once by it and re-indented.  Every
     cell is a number, so "], [" only separates rows and ", " only cells.
@@ -203,8 +210,32 @@ def _json_rows(rows: list[tuple], depth: int) -> str:
     if not rows:
         return "[]"
     outer, row, cell = ("\n" + "  " * level for level in (depth, depth + 1, depth + 2))
+    if isinstance(rows[0], str):
+        return f"[{row}" + f",{row}".join(rows) + f"{outer}]"
     text = json.dumps(rows)[2:-2].replace("], [", f"{row}],{row}[{cell}").replace(", ", f",{cell}")
     return f"[{row}[{cell}{text}{row}]{outer}]"
+
+
+def _grid_rows(columns, form: str) -> list[str]:
+    """The n rows of the `kernel` grid table, in `form`, from its n/2+1 distinct bins.
+
+    `columns` are omega, the real and imaginary parts of K, V and Khat, and
+    psi on half_omegas(n).  All bins are formatted as one text with "\1"
+    before omega and each imaginary part.  Grid row n/2+k is bin k's text
+    with the marks dropped; row n/2-k, and row 0 from bin n/2, is its mirror
+    (module docstring): each mark made "-", then "--" dropped, which no cell
+    text holds otherwise.  JSON rows are laid out as json.dumps(...,
+    indent=2) lays out the grid's, at depth 2.
+    """
+    cell = "%.17g" if form == "csv" else "%r"
+    marked = ["\1" + cell, cell] * 4
+    row_format = (",".join(marked) if form == "csv"
+                  else "[\n        " + ",\n        ".join(marked) + "\n      ]")
+    cells = np.stack(columns, axis=1)
+    text = ((row_format + "\0") * len(cells)) % tuple(cells.ravel().tolist())
+    rows = text.replace("\1", "").split("\0")  # bins 0 .. n/2, then ""
+    mirrored = text.replace("\1", "-").replace("--", "").split("\0")
+    return mirrored[-2:0:-1] + rows[:-2]
 
 
 def _json_document(command: str, config: list[tuple[str, object]], tables: dict) -> list[str]:
@@ -256,26 +287,25 @@ def _taps_path(out: str) -> str:
 def _cmd_kernel(args) -> int:
     kernel = FirstOrderKernel(args.a, args.b)
     params = PredictorParams(omega=args.omega, gamma=args.gamma, n=args.n, m=args.m, mode=args.mode)
-    # one grid gives the curves, mirrored, and the taps of the whole causal half
-    # with the l1 mass beyond m; an m past the half is refused with its own value
+    # one grid gives the half-spectrum curves and the taps of the whole causal
+    # half with the l1 mass beyond m; an m past the half is refused with its own value
     grid = TransferGrid(kernel, params.omega, params.n)
-    al, v = grid.alpha, grid.damping(params.gamma)
-    k, v, khat = (mirror_half(h) for h in (grid.k, v, v * grid.k))
-    om = grid_omegas(params.n)
-    psis = psi(kernel.a, al, om)
+    al, k, v = grid.alpha, grid.k, grid.damping(params.gamma)
+    om, khat = half_omegas(params.n), v * k
     half = causal_kernel(kernel, replace(params, m=max(params.m, params.n // 2)), grid).values.real
     residual = abs(1.0 + al * kernel.a + (kernel.a + al) * math.cos(params.omega))
     config = _config(args, args.flags, alpha=al, root_identity_residual=residual,
                      tap_l1_tail=float(np.sum(np.abs(half[params.m:]))), engine=ENGINE)
     grid_cols = ["omega", "k_re", "k_im", "v_re", "v_im", "khat_re", "khat_im", "psi"]
-    curves = _columns(om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag, psis)
+    curves = (om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag, psi(kernel.a, al, om))
     tap_cols = ["t", "khat"]
     taps = _columns(range(params.m), half[:params.m])
+    rows = _grid_rows(curves, args.format)
     if args.format == "csv":
-        _write_lines(args.out, _csv_document("kernel", config, grid_cols, curves))
+        _write_lines(args.out, _csv_document("kernel", config, grid_cols, rows))
         _write_lines(_taps_path(args.out), _csv_document("kernel-taps", config, tap_cols, taps))
     else:
-        _write_lines(args.out, _json_document("kernel", config, {"grid": (grid_cols, curves),
+        _write_lines(args.out, _json_document("kernel", config, {"grid": (grid_cols, rows),
                                                                  "taps": (tap_cols, taps)}))
     return EXIT_OK
 

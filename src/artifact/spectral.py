@@ -102,8 +102,22 @@ def half_omegas(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def unit_circle_half(n: int) -> np.ndarray:
-    """exp(1j * half_omegas(n)), computed once per n and returned read-only."""
-    z = np.exp(1j * half_omegas(n))
+    """exp(1j * half_omegas(n)), computed once per n and returned read-only.
+
+    The values live in an anonymous memory map, not in the C heap.  The
+    cache is filled in the middle of a process's first job, and a heap block
+    kept from there took space that the job's transient arrays had used: at
+    n = 65536 the second job then faulted in a fresh MiB for its FFT scratch
+    or not, depending only on how much heap the imports had taken.
+    """
+    import mmap  # on first use, so importing the package loads nothing more
+
+    w = half_omegas(n)
+    try:
+        z = np.frombuffer(mmap.mmap(-1, 2 * w.nbytes), np.complex128)
+    except OSError as exc:  # no room for the map: the error numpy gives for an array
+        raise MemoryError(f"Unable to map {2 * w.nbytes} bytes for the unit circle") from exc
+    np.exp(1j * w, out=z)
     z.flags.writeable = False
     return z
 

@@ -2,7 +2,9 @@
 
 The CSV and JSON writers format whole tables at once; the references below
 format cell by cell (`format(v, ".17g")`, `str(t)`) and let `json.dumps`
-lay out the whole document with indent=2.  The parser is built once per
+lay out the whole document with indent=2.  The `kernel` grid table is
+formatted on its n/2+1 distinct bins and mirrored as text; its reference
+formats every cell of the full-grid arrays.  The parser is built once per
 process and shared by every call of `main`; the reference parser is built
 afresh for each parse.
 """
@@ -15,12 +17,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artifact.cli import (COMMANDS, FLAGS, FORMAT_VERSION, _csv_document, _json_document,
-                          build_parser, main)
+from artifact import (FirstOrderKernel, PredictorParams, alpha, grid_omegas, k_transfer,
+                      predictor_transfer, psi, v_transfer)
+from artifact.cli import (COMMANDS, FLAGS, FORMAT_VERSION, _csv_document, _grid_rows,
+                          _json_document, build_parser, main)
 
 DBL_MAX = sys.float_info.max
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -78,6 +83,94 @@ def test_bulk_writers_match_cell_by_cell_references(config, table, taps):
     assert _json_document("sweep", config, top) == [_reference_json("sweep", config, top)]
     nested = {"grid": table, "taps": taps}
     assert _json_document("kernel", config, nested) == [_reference_json("kernel", config, nested)]
+
+
+# ------------------------------------------------------------ kernel grid
+
+GRID_COLUMNS = ["omega", "k_re", "k_im", "v_re", "v_im", "khat_re", "khat_im", "psi"]
+
+
+def _reference_grid(argv) -> list[tuple]:
+    """The grid rows of a `kernel` argv from full-grid arrays, mirrored numerically."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    a, gamma, n = float(flags["--a"]), float(flags["--gamma"]), int(flags["--n"])
+    omega = math.pi / 3
+    kernel = FirstOrderKernel(a, float(flags["--b"]) if "--b" in flags else None)
+    params = PredictorParams(omega=omega, gamma=gamma, n=n, m=2, mode=flags["--mode"])
+    al = alpha(a, omega)
+    om = grid_omegas(n)
+    k = k_transfer(kernel, n).values
+    v = v_transfer(a, al, gamma, n).values
+    khat = predictor_transfer(kernel, params).values
+    # psi is even; the table states it so, whatever the platform's cos does at -omega
+    return _grid_cells(om, k.real, k.imag, v.real, v.imag, khat.real, khat.imag,
+                       psi(a, al, np.abs(om)))
+
+
+def _grid_cells(*columns) -> list[tuple]:
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _kernel_argv(n, mode, gamma, b):
+    return (["kernel", "--a", "2" if mode == "low" else "-2", "--omega", "pi/3",
+             "--gamma", gamma, "--mode", mode, "--n", str(n), "--m", "2"]
+            + (["--b", b] if b else []))
+
+
+# grids of 8 and 16 bins are too small for every gamma but 0 (the leak check)
+KERNEL_CASES = [(n, mode, gamma, b)
+                for mode, gammas in (("low", ("0", "-0.0", "-3", "-5.5")),
+                                     ("high", ("0", "-0.0", "3", "5.5")))
+                for n in (8, 16, 1024)
+                for gamma in (gammas if n == 1024 else gammas[:2])
+                for b in (None, "0.5")]
+
+
+@pytest.mark.parametrize("n,mode,gamma,b", KERNEL_CASES)
+def test_kernel_grid_matches_the_full_grid_cell_by_cell(tmp_path, n, mode, gamma, b):
+    argv = _kernel_argv(n, mode, gamma, b)
+    rows = _reference_grid(argv)
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+    lines = (tmp_path / "o.csv").read_text().splitlines()
+    body = lines[lines.index(",".join(GRID_COLUMNS)) + 1:]
+    assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "o.json")]) == 0
+    text = (tmp_path / "o.json").read_text()
+    doc = json.loads(text)
+    assert len(doc["grid"]["rows"]) == n
+    doc["grid"]["rows"] = [list(row) for row in rows]
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# finite values whose text the mirror negates: signed zeros, subnormals, the
+# extremes and exponent forms of both writers
+FLIP_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, DBL_MAX, -DBL_MAX,
+               math.nextafter(DBL_MAX, 0.0), 1e-300, -1e-300, 1e16, -1.5e16, 1e22, 2.5e-5,
+               -2.5e-5, 1e-7, 0.1, -1 / 3, 12345678901234567.0]
+
+
+def test_mirrored_text_is_the_text_of_the_negated_value():
+    # 20 bins, each value in every column once; bin k's mirror row must read
+    # as the cells of -omega, the real parts and the negated imaginary parts
+    bins = len(FLIP_VALUES)
+    columns = [np.roll(FLIP_VALUES, j) for j in range(len(GRID_COLUMNS))]
+    negated = [-c if name == "omega" or name.endswith("_im") else c
+               for name, c in zip(GRID_COLUMNS, columns)]
+    rows = _grid_cells(*columns)
+    reference = _grid_cells(*negated)[bins - 1:0:-1] + rows[:bins - 1]
+    assert (_csv_document("kernel", [], GRID_COLUMNS, _grid_rows(columns, "csv"))
+            == _reference_csv("kernel", [], GRID_COLUMNS, reference))
+    tables = {"grid": (GRID_COLUMNS, _grid_rows(columns, "json"))}
+    assert (_json_document("kernel", [], tables)
+            == [_reference_json("kernel", [], {"grid": (GRID_COLUMNS, reference)})])
+    for v in FLIP_VALUES:
+        assert _flip(format(v, ".17g")) == format(-v, ".17g")
+        assert _flip(repr(v)) == repr(-v)
+
+
+def _flip(text: str) -> str:
+    """The mirror's rule: a leading "-" dropped, else one prepended."""
+    return text[1:] if text.startswith("-") else "-" + text
 
 
 # ------------------------------------------------------------------ parser

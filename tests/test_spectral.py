@@ -199,3 +199,24 @@ def test_spectrum_l2_matches_grid_norm():
         spectrum_l2(Signal(0, np.ones(33)), 32)
     with pytest.raises(GridSizeError):
         spectrum_l2(Signal(0, np.ones(8)), 12)
+
+
+def test_unit_circle_half_is_mapped_outside_the_heap(monkeypatch):
+    import errno
+    import mmap
+
+    from artifact import spectral
+
+    for n in (8, 1024, 65536):
+        z = spectral.unit_circle_half(n)
+        expected = np.exp(1j * spectral.half_omegas(n))
+        assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+        assert isinstance(z.base.obj, mmap.mmap) and not z.flags.writeable
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    # a map the system refuses is the MemoryError an array too large would give
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(MemoryError, match="Unable to map"):
+        spectral.unit_circle_half.__wrapped__(64)

@@ -12,9 +12,14 @@ end-to-end metrics are those it lists.
 The file holds, for each workload, side and end-to-end metric, every run's
 value with their median, min and interquartile range; for each workload and
 metric, how many pairs the change won by the metric's direction (ties count
-for neither side); each run's attempted and failed job counts; and the
-environment each side's runs reported (Python, numpy and BLAS versions,
-OPENBLAS_NUM_THREADS, nproc).  A table of the same figures goes to stdout.
+for neither side); each run's attempted and failed job counts, and the tail
+percentile its job_tail_ms reports with the timed-job count it was taken
+over; and the environment each side's runs reported (Python, numpy and BLAS
+versions, OPENBLAS_NUM_THREADS, nproc).  A table of the same figures goes to
+stdout.  bandbench picks the tail percentile from the timed-job count (p99
+up to 10,000 jobs, p99.9 from 10,001), so a workload whose runs report more
+than one percentile compares unlike job_tail_ms figures; the JSON and the
+table flag it.
 Exits 1 when a run exits nonzero, prints no result, or reports a failed job.
 """
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +35,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "nproc")
+# bandbench's job_tail_ms line ends "(p99.9 of 11489 timed jobs, 11 beyond)"
+TAIL_NOTE = re.compile(r"^job_tail_ms\s.*\(p([\d.]+) of (\d+) timed jobs, (\d+) beyond\)$",
+                       re.MULTILINE)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -44,8 +53,11 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1]) if lines else None
     except ValueError:
         result = None
+    tail = TAIL_NOTE.search(proc.stdout)
     run = {"seed": seed, "exit": proc.returncode,
-           "env": {key: env.get(key) for key in ENV_KEYS}}
+           "env": {key: env.get(key) for key in ENV_KEYS},
+           "tail": tail and {"percentile": float(tail[1]), "samples": int(tail[2]),
+                             "beyond": int(tail[3])}}
     if isinstance(result, dict) and isinstance(result.get("metrics"), dict):
         run.update(correct=result.get("correct"), attempted=result.get("attempted"),
                    failed=result.get("failed"),
@@ -105,14 +117,20 @@ def main(argv=None) -> int:
                 all_ok &= _ok(run)
                 shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()
                          if v is not None}
-                print(f"# {workload} pair {i} {side}: exit {run['exit']} {shown}",
+                tail = run["tail"] or {}
+                print(f"# {workload} pair {i} {side}: exit {run['exit']} {shown} "
+                      f"tail p{tail.get('percentile')} of {tail.get('samples')}",
                       file=sys.stderr, flush=True)
                 if "stderr" in run:
                     print(run["stderr"], file=sys.stderr, flush=True)
         entry = {"runs": {side: [{k: run.get(k) for k in ("seed", "exit", "correct",
-                                                          "attempted", "failed")}
+                                                          "attempted", "failed", "tail")}
                                  for run in runs[side]] for side in SIDES},
                  "metrics": {}}
+        percentiles = {run["tail"]["percentile"] for side in SIDES for run in runs[side]
+                       if run["tail"]}
+        entry["tail_percentiles"] = sorted(percentiles)
+        entry["mixed_tail_percentiles"] = len(percentiles) > 1
         if all(_ok(run) for side in SIDES for run in runs[side]):
             for name, metric in metrics.items():
                 values = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
@@ -135,9 +153,12 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             p, c = m["parent"], m["change"]
             diff = (c["median"] - p["median"]) / p["median"] if p["median"] else float("nan")
+            mixed = ""
+            if name == "job_tail_ms" and entry["mixed_tail_percentiles"]:
+                mixed = "  mixed " + ", ".join(f"p{q:g}" for q in entry["tail_percentiles"])
             print(f"{workload:12s} {name:12s} {p['median']:>11.4g} ({p['iqr']:.3g}) "
                   f"{c['median']:>11.4g} ({c['iqr']:.3g}) {diff:>+7.1%} "
-                  f"{m['change_wins']}/{args.pairs}")
+                  f"{m['change_wins']}/{args.pairs}{mixed}")
     return 0 if all_ok else 1
 
 

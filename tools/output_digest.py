@@ -16,10 +16,12 @@ bandbench at three seeds, `kernel` with `--b` and in high mode, the golden
 usage-error and error-exit cases, a non-finite `--input` sample, and last
 `gen`, `sweep-noise` and `kernel` with a band edge of 0.  Two smaller
 `sweep-noise` runs on the extended path, at 3 and 5 words, follow as CSV
-after all of those, and then two `sweep-gamma` ladders at m = 256 and
+after all of those, then two `sweep-gamma` ladders at m = 256 and
 m = 1024 whose 7,896 and 4,936 outputs cross the engine's 4,096-output
-chunk of shifted rows; new cases go last, so a listing keeps its earlier
-lines.  Runs take place in a fresh temporary directory with relative paths
+chunk of shifted rows, and then `kernel` grid tables at n = 8 and
+n = 65536, each as CSV and as JSON, two of them at gamma = +-0, whose V
+and Khat cells are signed zeros; new cases go last, so a listing keeps its
+earlier lines.  Runs take place in a fresh temporary directory with relative paths
 and a pinned terminal width, so the listing depends only on the program.
 """
 
@@ -78,6 +80,19 @@ CHUNKED = [
      "--n", "16384", "--m", "256", "--length", "8192", "--seed", "7"],
     ["sweep-gamma", "--a", "-2", "--omega", "pi/3", "--mode", "high", "--gamma=1,2,4,8",
      "--n", "8192", "--m", "1024", "--length", "6000", "--seed", "7"],
+]
+
+# grid tables at the smallest grid and at bandbench's largest, whose rows at
+# -omega are written as the mirrored text of the rows at omega; listed last
+KERNEL_GRIDS = [
+    ["kernel", "--a", "2", "--omega", "pi/3", "--gamma", "0", "--mode", "low",
+     "--n", "8", "--m", "4"],
+    ["kernel", "--a", "-2", "--b", "0.5", "--omega", "pi/3", "--gamma", "-0.0", "--mode", "high",
+     "--n", "8", "--m", "4"],
+    ["kernel", "--a", "2", "--omega", "pi/3", "--gamma", "-6", "--mode", "low",
+     "--n", "65536", "--m", "64"],
+    ["kernel", "--a", "-2", "--b", "0.5", "--omega", "pi/3", "--gamma", "5.5", "--mode", "high",
+     "--n", "65536", "--m", "64"],
 ]
 
 NONFINITE_INPUT = "nonfinite.csv"
@@ -184,6 +199,10 @@ def main(argv=None) -> int:
                 print(_run(bandpredict, argv, run_dir))
             for argv in EXTENDED_SMALL + CHUNKED:
                 print(_run(bandpredict, [*argv, "--out", "run/out.csv"], run_dir))
+            for argv in KERNEL_GRIDS:
+                for fmt in ("csv", "json"):
+                    print(_run(bandpredict, [*argv, "--format", fmt, "--out", f"run/out.{fmt}"],
+                               run_dir))
         finally:
             os.chdir(home)
     return 0
